@@ -581,6 +581,12 @@ impl<'a> ClusterSimulator<'a> {
                     fl.pop_front();
                 }
             }
+            // The request's prefix chain, built once for both the
+            // affinity lookup and the residency update.
+            let chain = match (&residency, r.prefix) {
+                (Some((_, block_tokens)), Some(prefix)) => Some(prefix.block_chain(*block_tokens)),
+                _ => None,
+            };
             let jsq = |in_flight: &[VecDeque<(f64, u64)>]| {
                 (0..blades)
                     .min_by_key(|&b| in_flight[b].len())
@@ -594,9 +600,9 @@ impl<'a> ClusterSimulator<'a> {
                     .expect("blades >= 1"),
                 RoutingPolicy::CacheAware => {
                     let fallback = jsq(&in_flight);
-                    match (&residency, r.prefix) {
-                        (Some((model, block_tokens)), Some(prefix)) => model
-                            .best_blade(&prefix.block_chain(*block_tokens))
+                    match (&residency, &chain) {
+                        (Some((model, _)), Some(chain)) => model
+                            .best_blade(chain)
                             .map(|(best, _)| best)
                             .filter(|&best| {
                                 in_flight[best].len()
@@ -607,8 +613,8 @@ impl<'a> ClusterSimulator<'a> {
                     }
                 }
             };
-            if let (Some((model, block_tokens)), Some(prefix)) = (&mut residency, r.prefix) {
-                model.admit(blade, &prefix.block_chain(*block_tokens));
+            if let (Some((model, _)), Some(chain)) = (&mut residency, &chain) {
+                model.admit(blade, chain);
             }
             let start = last_finish[blade].max(r.arrival_s);
             let finish = start + service_s(r);
@@ -671,6 +677,10 @@ impl<'a> ClusterSimulator<'a> {
     /// shedding gate over its own sub-queue (a per-blade front end sees
     /// only its own strict-class completions); the disjoint shed sets are
     /// merged for the report.
+    ///
+    /// A blade hands back only its own `(trace index, outcome)` pairs, so
+    /// the merge is O(N) and no trace-length outcome buffer outlives its
+    /// blade's drive.
     fn run_per_blade(
         &self,
         cluster: ClusterConfig,
@@ -681,35 +691,31 @@ impl<'a> ClusterSimulator<'a> {
     ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
         let blades = cluster.blades as usize;
         let assignment = self.route(cluster, trace, table);
-        let arrival_order: Vec<usize> = ServingSimulator::arrival_queue(trace).into();
-        let queues: Vec<VecDeque<usize>> = (0..blades)
-            .map(|b| {
-                arrival_order
-                    .iter()
-                    .copied()
-                    .filter(|&i| assignment[i] as usize == b)
-                    .collect()
-            })
-            .collect();
+        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); blades];
+        for i in ServingSimulator::arrival_queue(trace) {
+            queues[assignment[i] as usize].push_back(i);
+        }
         let ctx = self.sim.ctx(table);
         let drive_one = |b: usize,
                          queue: VecDeque<usize>,
                          obs: &mut dyn SimObserver|
-         -> (BladeState, Vec<Outcome>, Option<ControlState>) {
-            let mut outcomes = vec![Outcome::default(); trace.len()];
+         -> (BladeState, Vec<(usize, Outcome)>, Option<ControlState>) {
             if queue.is_empty() {
                 return (
                     BladeState::new(b as u32, 0.0, self.sim.config().prefix),
-                    outcomes,
+                    Vec::new(),
                     None,
                 );
             }
+            let served: Vec<usize> = queue.iter().copied().collect();
+            let mut outcomes = vec![Outcome::default(); trace.len()];
             let mut ctl = self.sim.control_state(trace.len());
             let state = ctx.drive_auto(b as u32, trace, queue, &mut outcomes, ctl.as_mut(), obs);
-            (state, outcomes, ctl)
+            let own = served.into_iter().map(|i| (i, outcomes[i])).collect();
+            (state, own, ctl)
         };
         let indexed: Vec<(usize, VecDeque<usize>)> = queues.into_iter().enumerate().collect();
-        let per_blade: Vec<(BladeState, Vec<Outcome>, Option<ControlState>)> = if parallel {
+        let per_blade: Vec<_> = if parallel {
             indexed
                 .into_par_iter()
                 .map(|(b, queue)| drive_one(b, queue, &mut NoopObserver))
@@ -723,11 +729,9 @@ impl<'a> ClusterSimulator<'a> {
         let mut outcomes = vec![Outcome::default(); trace.len()];
         let mut states = Vec::with_capacity(blades);
         let mut merged: Option<ControlState> = None;
-        for (b, (state, blade_outcomes, ctl)) in per_blade.into_iter().enumerate() {
-            for (i, o) in blade_outcomes.into_iter().enumerate() {
-                if assignment[i] as usize == b {
-                    outcomes[i] = o;
-                }
+        for (state, own, ctl) in per_blade {
+            for (i, o) in own {
+                outcomes[i] = o;
             }
             if let Some(c) = ctl {
                 match merged.as_mut() {

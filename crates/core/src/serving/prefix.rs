@@ -34,7 +34,8 @@
 
 use crate::error::OptimusError;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Reclamation order for unreferenced cache blocks.
 ///
@@ -148,6 +149,31 @@ impl SharedPrefix {
     }
 }
 
+/// Pass-through [`Hasher`] for block hashes: they are already
+/// splitmix-mixed, so hashing them again would only cost time. A trace
+/// could still pick prefix ids whose chains collide in the table; that
+/// only slows its own replay and cannot change a result.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher; fold anything else in so the
+        // impl stays total.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
 /// One resident block of the cache's radix index.
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -184,7 +210,9 @@ fn free_key(eviction: CacheEviction, node: &Node, hash: u64) -> (u64, u64, u64) 
 /// so cache decisions never perturb the engine's audited float stream.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixCache {
-    nodes: BTreeMap<u64, Node>,
+    /// Resident blocks by chained hash. Never iterated, so its order
+    /// cannot reach a result; reclamation order lives in `free`.
+    nodes: HashMap<u64, Node, BuildHasherDefault<BlockHasher>>,
     /// Unreferenced leaves in reclamation order (see [`free_key`]): the
     /// next victim is always `free.first()`.
     free: BTreeSet<(u64, u64, u64)>,

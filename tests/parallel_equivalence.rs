@@ -356,6 +356,12 @@ fn coordinated_cluster_replay_parallel_matches_serial_bit_for_bit() {
             .topology(Topology::mixed(4))
             .dispatch(DispatchMode::Central),
         base().topology(Topology::disaggregated(1, 3)),
+        // Eight per-blade queues for 32 requests over 3 prefixes: affinity
+        // piles the traffic onto a few blades and leaves others idle, so
+        // the merge of compacted per-blade outcomes sees empty queues.
+        base()
+            .topology(Topology::mixed(8))
+            .routing(RoutingPolicy::CacheAware),
     ];
     for (i, scenario) in variants.into_iter().enumerate() {
         let compiled = scenario.compile().unwrap();
@@ -364,6 +370,12 @@ fn coordinated_cluster_replay_parallel_matches_serial_bit_for_bit() {
         assert_eq!(p, s, "variant {i} must be bit-identical");
         assert_eq!(p.report.completed, 32, "variant {i}");
         assert!(p.report.prefix_hits > 0, "variant {i} exercised the cache");
+        if p.blades == 8 {
+            assert!(
+                p.per_blade.iter().any(|b| b.requests == 0),
+                "variant {i} must leave a blade idle"
+            );
+        }
     }
 }
 
