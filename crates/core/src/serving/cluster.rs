@@ -458,7 +458,8 @@ impl<'a> ClusterSimulator<'a> {
     ///
     /// # Errors
     ///
-    /// As for [`ServingSimulator::replay`].
+    /// As for [`ServingSimulator::replay`], plus [`OptimusError::Serving`]
+    /// for a replay that wedges with requests pending.
     pub fn replay(&self, trace: &[RequestSpec]) -> Result<ClusterReport, OptimusError> {
         let table = self.sim.cost_table(trace, true)?;
         self.run(trace, &table, true, &mut NoopObserver)
@@ -648,17 +649,17 @@ impl<'a> ClusterSimulator<'a> {
             (DispatchMode::PerBlade, _) => self.run_per_blade(cluster, trace, table, parallel, obs),
             (DispatchMode::Central, SimCore::EventDriven) => {
                 if self.sim.policy().ordering() == OrderingContract::StaticKey {
-                    self.run_central_event_keyed(cluster, trace, table, scale.as_mut(), obs)
+                    self.run_central_event_keyed(cluster, trace, table, scale.as_mut(), obs)?
                 } else {
-                    self.run_central_event(cluster, trace, table, scale.as_mut(), obs)
+                    self.run_central_event(cluster, trace, table, scale.as_mut(), obs)?
                 }
             }
             (DispatchMode::Central, SimCore::PerStep) => {
-                self.run_central(cluster, trace, table, scale.as_mut(), obs)
+                self.run_central(cluster, trace, table, scale.as_mut(), obs)?
             }
         };
         let roles = vec![BladeRole::Mixed; cluster.blades as usize];
-        Ok(assemble(
+        assemble(
             &self.sim,
             trace,
             &states,
@@ -666,7 +667,7 @@ impl<'a> ClusterSimulator<'a> {
             &roles,
             ctl.as_ref(),
             scale.as_ref(),
-        ))
+        )
     }
 
     /// Per-blade dispatch: route at arrival, then replay each blade's
@@ -688,7 +689,7 @@ impl<'a> ClusterSimulator<'a> {
         table: &CostTable,
         parallel: bool,
         obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+    ) -> Replayed {
         let blades = cluster.blades as usize;
         let assignment = self.route(cluster, trace, table);
         let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); blades];
@@ -762,7 +763,7 @@ impl<'a> ClusterSimulator<'a> {
         table: &CostTable,
         mut scale: Option<&mut ScaleState>,
         obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+    ) -> Result<Replayed, OptimusError> {
         let blades = cluster.blades as usize;
         let ctx = self.sim.ctx(table);
         let mut ctl = self.sim.control_state(trace.len());
@@ -794,8 +795,7 @@ impl<'a> ClusterSimulator<'a> {
                 })
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let Some((at, b)) = chosen else {
-                debug_assert!(false, "cluster idle with work pending");
-                break;
+                return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
             if blade.running.is_empty() {
@@ -839,7 +839,7 @@ impl<'a> ClusterSimulator<'a> {
                 autoscale_round(sc, &mut states, now, depth, obs);
             }
         }
-        (states, outcomes, ctl)
+        Ok((states, outcomes, ctl))
     }
 
     /// Event-driven twin of [`Self::run_central`]: the same round
@@ -855,7 +855,7 @@ impl<'a> ClusterSimulator<'a> {
         table: &CostTable,
         mut scale: Option<&mut ScaleState>,
         obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+    ) -> Result<Replayed, OptimusError> {
         let blades = cluster.blades as usize;
         let ctx = self.sim.ctx(table);
         let fcfs = self.sim.policy().ordering() == OrderingContract::Fcfs;
@@ -895,8 +895,7 @@ impl<'a> ClusterSimulator<'a> {
                 })
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let Some((at, b)) = chosen else {
-                debug_assert!(false, "cluster idle with work pending");
-                break;
+                return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
             if blade.running.is_empty() {
@@ -987,7 +986,7 @@ impl<'a> ClusterSimulator<'a> {
                 obs,
             );
         }
-        (states, outcomes, ctl)
+        Ok((states, outcomes, ctl))
     }
 
     /// Central-dispatch event loop specialized for
@@ -1015,7 +1014,7 @@ impl<'a> ClusterSimulator<'a> {
         table: &CostTable,
         mut scale: Option<&mut ScaleState>,
         obs: &mut dyn SimObserver,
-    ) -> (Vec<BladeState>, Vec<Outcome>, Option<ControlState>) {
+    ) -> Result<Replayed, OptimusError> {
         let blades = cluster.blades as usize;
         let ctx = self.sim.ctx(table);
         let mut ctl = self.sim.control_state(trace.len());
@@ -1056,8 +1055,7 @@ impl<'a> ClusterSimulator<'a> {
                 })
                 .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let Some((at, b)) = chosen else {
-                debug_assert!(false, "cluster idle with work pending");
-                break;
+                return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
             if blade.running.is_empty() {
@@ -1132,7 +1130,7 @@ impl<'a> ClusterSimulator<'a> {
                 obs,
             );
         }
-        (states, outcomes, ctl)
+        Ok((states, outcomes, ctl))
     }
 }
 
@@ -1343,10 +1341,16 @@ fn central_leapfrog(
     ready: &[f64],
     obs: &mut dyn SimObserver,
 ) {
+    let max_batch = ctx.config.max_batch as usize;
+    let open_gate = if queue_empty {
+        f64::INFINITY
+    } else {
+        next_ready
+    };
     let mut idle_gate = f64::INFINITY;
     let mut min_clock = f64::INFINITY;
     let mut any_full = false;
-    let mut members: Vec<(usize, bool)> = Vec::with_capacity(states.len());
+    let mut members: Vec<LeapfrogMember> = Vec::with_capacity(states.len());
     for (b, s) in states.iter().enumerate() {
         if s.running.is_empty() {
             if !queue_empty {
@@ -1355,31 +1359,26 @@ fn central_leapfrog(
             continue;
         }
         min_clock = min_clock.min(s.clock);
-        let full = s.running.len() >= ctx.config.max_batch as usize;
+        let full = s.running.len() >= max_batch;
         any_full |= full;
-        members.push((b, full));
+        // A full member's gate is the partition transition, patched
+        // below once the minimal member clock is known.
+        members.push(LeapfrogMember {
+            blade: b,
+            start_gate_s: if full { f64::INFINITY } else { open_gate },
+        });
     }
     if members.is_empty() || idle_gate <= min_clock {
         return;
     }
-    let e = if any_full && partition_needs_e {
-        next_ready_transition(min_clock, sorted_arrivals, victim_list, is_victim, ready)
-    } else {
-        f64::INFINITY
-    };
-    let members: Vec<LeapfrogMember> = members
-        .into_iter()
-        .map(|(blade, full)| LeapfrogMember {
-            blade,
-            start_gate_s: if full {
-                e
-            } else if !queue_empty {
-                next_ready
-            } else {
-                f64::INFINITY
-            },
-        })
-        .collect();
+    if any_full && partition_needs_e {
+        let e = next_ready_transition(min_clock, sorted_arrivals, victim_list, is_victim, ready);
+        for m in &mut members {
+            if states[m.blade].running.len() >= max_batch {
+                m.start_gate_s = e;
+            }
+        }
+    }
     leapfrog_decode(
         ctx,
         trace,
@@ -1390,8 +1389,29 @@ fn central_leapfrog(
     );
 }
 
+/// Per-blade end states, per-request outcomes and the merged shedding
+/// gate one classic replay loop hands to [`assemble`].
+type Replayed = (Vec<BladeState>, Vec<Outcome>, Option<ControlState>);
+
+/// The error a replay loop returns when no blade can act while requests
+/// are still pending — an invariant break that would otherwise end the
+/// replay with a partial report.
+fn wedged(topology: &str, served: u32, requests: usize) -> OptimusError {
+    OptimusError::Serving {
+        reason: format!(
+            "{topology} replay wedged: no blade can act with {served} of {requests} requests served"
+        ),
+    }
+}
+
 /// Merges per-blade states and outcomes into the cluster report
 /// (shared by the classic loops and the disaggregated one).
+///
+/// # Errors
+///
+/// [`OptimusError::Serving`] when the blades' served counts (completions
+/// plus sheds) do not add up to the trace length: a loop that ended
+/// early must not produce a report.
 pub(crate) fn assemble(
     sim: &ServingSimulator<'_>,
     trace: &[RequestSpec],
@@ -1400,7 +1420,16 @@ pub(crate) fn assemble(
     roles: &[BladeRole],
     ctl: Option<&ControlState>,
     scale: Option<&ScaleState>,
-) -> ClusterReport {
+) -> Result<ClusterReport, OptimusError> {
+    let served: u64 = states.iter().map(|s| u64::from(s.served)).sum();
+    if served != trace.len() as u64 {
+        return Err(OptimusError::Serving {
+            reason: format!(
+                "replay ended with {served} of {} requests served",
+                trace.len()
+            ),
+        });
+    }
     let mut totals = ReplayTotals::default();
     for blade in states {
         totals.absorb(blade);
@@ -1449,7 +1478,7 @@ pub(crate) fn assemble(
     let stretches: u64 = states.iter().map(|s| s.stretches).sum();
     let stretched_iterations: u64 = states.iter().map(|s| s.stretched_iterations).sum();
     let decode_iterations: u64 = states.iter().map(|s| s.decode_iterations).sum();
-    ClusterReport {
+    Ok(ClusterReport {
         blades: states.len() as u32,
         report,
         per_blade,
@@ -1462,7 +1491,7 @@ pub(crate) fn assemble(
             stretched_iterations,
             single_steps: decode_iterations - stretched_iterations,
         },
-    }
+    })
 }
 
 /// The disaggregated (DistServe-style) event loop: dedicated prefill
@@ -1486,7 +1515,7 @@ pub(crate) fn run_disaggregated(
     roles: &[BladeRole],
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
-) -> ClusterReport {
+) -> Result<ClusterReport, OptimusError> {
     match sim.config().core {
         SimCore::EventDriven => run_disaggregated_event(sim, trace, table, roles, link, obs),
         SimCore::PerStep => run_disaggregated_per_step(sim, trace, table, roles, link, obs),
@@ -1501,7 +1530,7 @@ fn run_disaggregated_per_step(
     roles: &[BladeRole],
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
-) -> ClusterReport {
+) -> Result<ClusterReport, OptimusError> {
     let ctx = sim.ctx(table);
     let prefillers: Vec<usize> = roles
         .iter()
@@ -1565,10 +1594,7 @@ fn run_disaggregated_per_step(
             (Some((tp, _)), Some((td, _))) => tp <= td,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (None, None) => {
-                debug_assert!(false, "disaggregated loop idle with work pending");
-                break;
-            }
+            (None, None) => return Err(wedged("disaggregated", served, trace.len())),
         };
         if do_prefill {
             let (at, b) = prefill_action.expect("chosen above");
@@ -1718,7 +1744,7 @@ fn run_disaggregated_event(
     roles: &[BladeRole],
     link: &HandoffLink,
     obs: &mut dyn SimObserver,
-) -> ClusterReport {
+) -> Result<ClusterReport, OptimusError> {
     let ctx = sim.ctx(table);
     let fcfs = sim.policy().ordering() == OrderingContract::Fcfs;
     let prefillers: Vec<usize> = roles
@@ -1784,15 +1810,14 @@ fn run_disaggregated_event(
             (Some((tp, _)), Some((td, _))) => tp <= td,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (None, None) => {
-                debug_assert!(false, "disaggregated loop idle with work pending");
-                break;
-            }
+            (None, None) => return Err(wedged("disaggregated", served, trace.len())),
         };
         if do_prefill {
             let (at, b) = prefill_action.expect("chosen above");
             let blade = &mut states[b];
             blade.clock = blade.clock.max(at);
+            // The prefill blade's cache changes below.
+            blade.cached_plan = None;
             if !fcfs {
                 sim.policy()
                     .order_queue(blade.clock, trace, &mut prompt_queue);
@@ -1941,9 +1966,15 @@ fn run_disaggregated_event(
             if let Some((tp, _)) = prefill_action {
                 shared_gate = tp;
             }
+            let max_batch = ctx.config.max_batch as usize;
+            let open_gate = if queue_empty {
+                f64::INFINITY
+            } else {
+                next_ready
+            };
             let mut min_clock = f64::INFINITY;
             let mut any_full = false;
-            let mut pool: Vec<(usize, bool)> = Vec::with_capacity(decoders.len());
+            let mut members: Vec<LeapfrogMember> = Vec::with_capacity(decoders.len());
             for &ob in &decoders {
                 let s = &states[ob];
                 if s.running.is_empty() {
@@ -1953,36 +1984,31 @@ fn run_disaggregated_event(
                     continue;
                 }
                 min_clock = min_clock.min(s.clock);
-                let full = s.running.len() >= ctx.config.max_batch as usize;
+                let full = s.running.len() >= max_batch;
                 any_full |= full;
-                pool.push((ob, full));
+                // A full member's gate is the delivery transition,
+                // patched below once the minimal member clock is known.
+                members.push(LeapfrogMember {
+                    blade: ob,
+                    start_gate_s: if full { f64::INFINITY } else { open_gate },
+                });
             }
-            if !pool.is_empty() && shared_gate > min_clock {
+            if !members.is_empty() && shared_gate > min_clock {
                 // The delivery transition is measured from the minimal
                 // member clock so it lower-bounds every member's own;
                 // a member already past it parks, conservatively.
-                let e = if any_full {
-                    decode_queue
+                if any_full {
+                    let e = decode_queue
                         .iter()
                         .map(|&i| ready[i])
                         .filter(|&t| t > min_clock)
-                        .fold(f64::INFINITY, f64::min)
-                } else {
-                    f64::INFINITY
-                };
-                let members: Vec<LeapfrogMember> = pool
-                    .into_iter()
-                    .map(|(blade, full)| LeapfrogMember {
-                        blade,
-                        start_gate_s: if full {
-                            e
-                        } else if !queue_empty {
-                            next_ready
-                        } else {
-                            f64::INFINITY
-                        },
-                    })
-                    .collect();
+                        .fold(f64::INFINITY, f64::min);
+                    for m in &mut members {
+                        if states[m.blade].running.len() >= max_batch {
+                            m.start_gate_s = e;
+                        }
+                    }
+                }
                 leapfrog_decode(
                     &ctx,
                     trace,
@@ -2351,5 +2377,28 @@ mod tests {
         .replay(&trace)
         .unwrap();
         assert!(central.report.makespan_s <= rr.report.makespan_s * 1.01);
+    }
+
+    #[test]
+    fn assemble_refuses_a_replay_with_an_unfinished_request() {
+        // A loop that stopped early leaves one request unserved: the
+        // report must be an error, not a partial `Ok`.
+        let (est, model, par) = cluster_parts();
+        let sim = mk_sim(&est, &model, &par, ServingConfig::unconstrained(4));
+        let trace = test_trace();
+        let mut outcomes = vec![Outcome::default(); trace.len()];
+        for (o, r) in outcomes.iter_mut().zip(&trace).skip(1) {
+            o.first_token_s = Some(r.arrival_s + 1.0);
+            o.completion_s = Some(r.arrival_s + 2.0);
+        }
+        let mut states = vec![BladeState::new(0, 0.0, None), BladeState::new(1, 0.0, None)];
+        states[0].served = 20;
+        states[1].served = trace.len() as u32 - 21;
+        let roles = [BladeRole::Mixed; 2];
+        let err = assemble(&sim, &trace, &states, &outcomes, &roles, None, None).unwrap_err();
+        assert!(
+            matches!(&err, OptimusError::Serving { reason } if reason.contains("31 of 32")),
+            "{err}"
+        );
     }
 }

@@ -397,6 +397,13 @@ pub(crate) struct BladeState {
     pub(crate) remote_streamed_tokens: u64,
     /// Tier hits where local recompute was cheaper than the transfer.
     pub(crate) remote_recomputes: u64,
+    /// The decode-stretch plan a leapfrog left behind for this blade:
+    /// `None` when unknown (re-plan), `Some(None)` when no plan is
+    /// possible, `Some(Some(p))` when `p` equals what
+    /// [`DecodeStretch::plan`] would return now. Anything that changes
+    /// the running batch or the prefix cache clears it — `step`,
+    /// [`DecodeStretch`]'s commit, the disaggregated prefill branch.
+    pub(crate) cached_plan: Option<Option<DecodeStretch>>,
 }
 
 impl BladeState {
@@ -466,6 +473,7 @@ impl BladeState {
             remote_streams: 0,
             remote_streamed_tokens: 0,
             remote_recomputes: 0,
+            cached_plan: None,
         }
     }
 }
@@ -650,6 +658,7 @@ impl EngineCtx<'_> {
         obs: &mut dyn SimObserver,
     ) -> u32 {
         let cfg = self.config;
+        blade.cached_plan = None;
 
         // Admission against batch slots and projected KV growth (every
         // decoding sequence appends one token this iteration). `projected`

@@ -588,7 +588,18 @@ impl StretchHorizon {
 /// a stretch on their own (cheap) horizon gates before paying for the
 /// more expensive ones, and re-plan after a truncated advance (a bucket
 /// crossing changes the cost; the next stretch picks up from there).
-#[derive(Debug, Clone, Copy)]
+///
+/// Cached plans: [`leapfrog_decode`] leaves each member's unfinished plan
+/// in [`BladeState::cached_plan`] as [`Self::rebased`] by the iterations
+/// it committed, and the next leapfrog starts from it instead of
+/// re-planning. That is exact because a pure-decode stretch moves every
+/// bound in [`Self::plan`] by the same `done`: the completion, bucket,
+/// block and capacity limits all shrink by `done`, the footprints grow
+/// by `done` iterations of growth, and the batch, cost and shared-block
+/// charge stay put. Whatever else changes a blade's running batch or
+/// prefix cache clears the slot first: `EngineCtx::step`,
+/// [`Self::commit`] and the disaggregated prefill branch.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct DecodeStretch {
     /// The constant per-iteration decode cost (s).
     cost: f64,
@@ -809,6 +820,20 @@ impl DecodeStretch {
         done
     }
 
+    /// The plan [`Self::plan`] returns for the blade once `done`
+    /// iterations of this one have been committed (`done < max_iters`):
+    /// `done` fewer iterations left, footprints grown by `done`
+    /// iterations, and the same cost, batch and shared-block charge.
+    pub(crate) fn rebased(self, done: u64) -> Self {
+        debug_assert!(done < self.max_iters);
+        Self {
+            max_iters: self.max_iters - done,
+            charged0: self.charged0 + done * self.charge_growth,
+            used0: self.used0 + done * u64::from(self.batch),
+            ..self
+        }
+    }
+
     /// Charged KV tokens at the stretch's last advanced iteration
     /// (callers guarantee `done > 0`).
     fn kv_end(&self, done: u64) -> u64 {
@@ -824,7 +849,11 @@ impl DecodeStretch {
     /// Fragmentation (charged − used) is constant under contiguous
     /// accounting and non-increasing under paged, peaking at entry;
     /// the charged footprint peaks at the final iteration.
+    ///
+    /// Clears the blade's cached plan: the caller re-plans, or stores
+    /// the rebased plan itself.
     fn commit(&self, blade: &mut BladeState, done: u64) {
+        blade.cached_plan = None;
         if done == 0 {
             return;
         }
@@ -853,6 +882,55 @@ pub(crate) struct LeapfrogMember {
     pub(crate) start_gate_s: f64,
 }
 
+/// One leapfrog member's hot state, packed so the per-iteration
+/// `(clock, blade)` argmin scans one small contiguous slice: the blade's
+/// clock and float accumulators (written back to its [`BladeState`]
+/// before each commit and at exit), its round-start gate, and its
+/// current plan with the iterations advanced under it.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    clock: f64,
+    gate: f64,
+    decode_time_s: f64,
+    batch_time_weighted: f64,
+    busy_s: f64,
+    plan: Option<DecodeStretch>,
+    done: u64,
+    blade: usize,
+    id: u32,
+}
+
+impl Lane {
+    fn write_back(&self, blade: &mut BladeState) {
+        blade.clock = self.clock;
+        blade.decode_time_s = self.decode_time_s;
+        blade.batch_time_weighted = self.batch_time_weighted;
+        blade.busy_s = self.busy_s;
+    }
+}
+
+/// `blade`'s stretch plan: the one a previous leapfrog cached, else a
+/// fresh [`DecodeStretch::plan`]. Takes the cached slot; the leapfrog
+/// refills it at exit.
+fn cached_or_fresh_plan(
+    ctx: &EngineCtx<'_>,
+    trace: &[RequestSpec],
+    blade: &mut BladeState,
+) -> Option<DecodeStretch> {
+    match blade.cached_plan.take() {
+        Some(cached) => {
+            debug_assert_eq!(
+                cached,
+                DecodeStretch::plan(ctx, trace, blade),
+                "cached plan of blade {} went stale",
+                blade.id
+            );
+            cached
+        }
+        None => DecodeStretch::plan(ctx, trace, blade),
+    }
+}
+
 /// Fast-forwards a set of coupled blades through their pure-decode
 /// futures in *exact per-step round order*: repeatedly pick the
 /// `(clock, blade index)`-minimal member — the central loops' `chosen`
@@ -876,6 +954,13 @@ pub(crate) struct LeapfrogMember {
 /// cost); when no new plan exists (completion, KV or admission event
 /// next) the member parks at its clock and breaks the loop once it
 /// becomes minimal — its real round is the cluster's next action.
+///
+/// Members must be listed in ascending blade order, so a strict
+/// `total_cmp` minimum over the lanes keeps the blade-index tie-break.
+/// At exit every member's unfinished plan is cached on its blade,
+/// rebased by the iterations just committed (see [`DecodeStretch`]): a
+/// member nothing else touches before the next leapfrog is not
+/// re-planned there.
 pub(crate) fn leapfrog_decode(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -885,31 +970,42 @@ pub(crate) fn leapfrog_decode(
     obs: &mut dyn SimObserver,
 ) {
     let _span = profile::span(profile::Phase::Leapfrog);
+    debug_assert!(members.windows(2).all(|w| w[0].blade < w[1].blade));
     let passive = obs.is_passive();
-    let mut runs: Vec<Option<(DecodeStretch, u64)>> = members
+    let mut lanes: Vec<Lane> = members
         .iter()
-        .map(|m| DecodeStretch::plan(ctx, trace, &states[m.blade]).map(|p| (p, 0)))
+        .map(|m| {
+            let blade = &mut states[m.blade];
+            Lane {
+                clock: blade.clock,
+                gate: m.start_gate_s,
+                decode_time_s: blade.decode_time_s,
+                batch_time_weighted: blade.batch_time_weighted,
+                busy_s: blade.busy_s,
+                plan: cached_or_fresh_plan(ctx, trace, blade),
+                done: 0,
+                blade: m.blade,
+                id: blade.id,
+            }
+        })
         .collect();
+    if lanes.is_empty() {
+        return;
+    }
     loop {
-        let mut best: Option<(f64, usize)> = None;
-        for (i, m) in members.iter().enumerate() {
-            let c = states[m.blade].clock;
-            let better = match best {
-                None => true,
-                Some((bc, bi)) => c
-                    .total_cmp(&bc)
-                    .then(m.blade.cmp(&members[bi].blade))
-                    .is_lt(),
-            };
-            if better {
-                best = Some((c, i));
+        let mut i = 0;
+        let mut clock = lanes[0].clock;
+        for (j, lane) in lanes.iter().enumerate().skip(1) {
+            if lane.clock.total_cmp(&clock).is_lt() {
+                i = j;
+                clock = lane.clock;
             }
         }
-        let Some((clock, i)) = best else { break };
-        if horizon.start_gate_s <= clock || members[i].start_gate_s <= clock {
+        let lane = &mut lanes[i];
+        if horizon.start_gate_s <= clock || lane.gate <= clock {
             break;
         }
-        let Some((plan, done)) = runs[i] else { break };
+        let Some(plan) = lane.plan else { break };
         let next = clock + plan.cost;
         if next >= horizon.end_gate_s {
             break;
@@ -922,61 +1018,70 @@ pub(crate) fn leapfrog_decode(
                 break;
             }
         }
-        let blade = &mut states[members[i].blade];
-        blade.decode_time_s += plan.cost;
-        blade.batch_time_weighted += plan.cost * f64::from(plan.batch);
-        blade.busy_s += plan.cost;
-        blade.clock = next;
+        lane.decode_time_s += plan.cost;
+        lane.batch_time_weighted += plan.cost * f64::from(plan.batch);
+        lane.busy_s += plan.cost;
+        lane.clock = next;
         if !passive {
-            obs.on_step(blade.id, blade.clock, plan.cost, plan.batch);
+            obs.on_step(lane.id, next, plan.cost, plan.batch);
             // `done` completed rounds of this plan precede the one just
             // advanced, matching the per-step loop's charged footprint.
             obs.on_kv_sample(
-                blade.id,
-                blade.clock,
-                plan.charged0 + done * plan.charge_growth,
+                lane.id,
+                next,
+                plan.charged0 + lane.done * plan.charge_growth,
                 plan.cache_charged,
             );
         }
-        if done + 1 == plan.max_iters {
-            plan.commit(blade, done + 1);
+        lane.done += 1;
+        if lane.done == plan.max_iters {
+            let blade = &mut states[lane.blade];
+            lane.write_back(blade);
+            plan.commit(blade, lane.done);
             if passive {
                 obs.on_stretch(
-                    blade.id,
-                    blade.clock,
-                    done + 1,
+                    lane.id,
+                    next,
+                    lane.done,
                     plan.cost,
                     plan.batch,
-                    plan.kv_end(done + 1),
+                    plan.kv_end(lane.done),
                 );
             }
-            runs[i] = DecodeStretch::plan(ctx, trace, blade).map(|p| (p, 0));
-        } else {
-            runs[i] = Some((plan, done + 1));
+            lane.plan = DecodeStretch::plan(ctx, trace, blade);
+            lane.done = 0;
         }
     }
-    for (i, m) in members.iter().enumerate() {
-        if let Some((plan, done)) = runs[i] {
-            plan.commit(&mut states[m.blade], done);
-            if passive && done > 0 {
-                let blade = &states[m.blade];
+    for lane in &lanes {
+        let blade = &mut states[lane.blade];
+        lane.write_back(blade);
+        if let Some(plan) = lane.plan {
+            plan.commit(blade, lane.done);
+            if passive && lane.done > 0 {
                 obs.on_stretch(
-                    blade.id,
-                    blade.clock,
-                    done,
+                    lane.id,
+                    lane.clock,
+                    lane.done,
                     plan.cost,
                     plan.batch,
-                    plan.kv_end(done),
+                    plan.kv_end(lane.done),
                 );
             }
         }
+        blade.cached_plan = Some(lane.plan.map(|p| p.rebased(lane.done)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaling::MultiBladeSystem;
+    use crate::serving::engine::{Outcome, ServingConfig, ServingSimulator};
+    use crate::serving::observer::NoopObserver;
     use crate::serving::policy::{FcfsPolicy, SjfPolicy};
+    use crate::serving::prefix::PrefixCachingConfig;
+    use llm_workload::model::ModelZoo;
+    use llm_workload::parallelism::Parallelism;
 
     #[test]
     fn heap_pops_in_time_then_index_order() {
@@ -1122,5 +1227,120 @@ mod tests {
         assert_eq!(tq.peek(), Some(9));
         assert_eq!(tq.admitted, vec![4]);
         assert_eq!(*tq.queue, VecDeque::from([9, 7]));
+    }
+
+    #[test]
+    fn rebased_plan_equals_a_fresh_plan_after_every_commit() {
+        // The cached-plan invariant behind `leapfrog_decode`: advancing
+        // and committing `d` iterations of a plan leaves the blade in a
+        // state whose fresh plan is exactly `plan.rebased(d)`.
+        let system = MultiBladeSystem::new(1).unwrap();
+        let est = system.inference_estimator();
+        let model = ModelZoo::llama2_7b();
+        let par = Parallelism::new(1, 1, 1).unwrap();
+        // Requests 1 and 2 share a 40-token prefix: two full 16-token
+        // blocks stay resident while both run.
+        let trace = vec![
+            RequestSpec::new(0, 0.0, 90, 300),
+            RequestSpec::new(1, 0.0, 50, 260).with_prefix(7, 40),
+            RequestSpec::new(2, 0.0, 70, 280).with_prefix(7, 40),
+        ];
+        let ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
+        let caching = PrefixCachingConfig {
+            block_tokens: 16,
+            eviction: Default::default(),
+        };
+        let mut checked = 0;
+        for kv_layout in [KvLayout::Contiguous, KvLayout::Paged { block_tokens: 16 }] {
+            for decode_pricing in [
+                DecodePricing::BucketizedMean,
+                DecodePricing::ExactPerSequence,
+            ] {
+                for prefix in [None, Some(caching)] {
+                    let config = ServingConfig {
+                        kv_bucket_tokens: 32,
+                        kv_layout,
+                        decode_pricing,
+                        prefix,
+                        ..ServingConfig::unconstrained(4)
+                    };
+                    let sim = ServingSimulator::from_parts(
+                        &est,
+                        &model,
+                        &par,
+                        config,
+                        Box::new(FcfsPolicy),
+                        None,
+                    )
+                    .unwrap();
+                    let table = sim.cost_table(&trace, false).unwrap();
+                    let loose = sim.ctx(&table);
+                    // Admit everything and step until every sequence
+                    // decodes past its first token.
+                    let mut queue: VecDeque<usize> = (0..trace.len()).collect();
+                    let mut outcomes = vec![Outcome::default(); trace.len()];
+                    let mut blade = BladeState::new(0, 0.0, prefix);
+                    let entry = loop {
+                        loose.step(
+                            &trace,
+                            &ready,
+                            &mut queue,
+                            &mut blade,
+                            &mut outcomes,
+                            None,
+                            None,
+                            None,
+                            &mut NoopObserver,
+                        );
+                        if let Some(p) = DecodeStretch::plan(&loose, &trace, &blade) {
+                            break p;
+                        }
+                    };
+                    assert_eq!(entry.batch, 3);
+                    assert_eq!(entry.cache_charged > 0, prefix.is_some());
+                    // A capacity that admits only a few more iterations
+                    // of growth, so contiguous plans end on the KV bound.
+                    let tight_config = ServingConfig {
+                        kv_capacity_bytes: loose.kv_bytes(entry.charged0 + 5 * 3),
+                        ..config
+                    };
+                    let tight = EngineCtx {
+                        config: &tight_config,
+                        ..sim.ctx(&table)
+                    };
+                    for ctx in [&loose, &tight] {
+                        let plan = DecodeStretch::plan(ctx, &trace, &blade).unwrap();
+                        if kv_layout == KvLayout::Contiguous && std::ptr::eq(ctx, &tight) {
+                            assert_eq!(plan.max_iters, 6, "the KV bound binds");
+                        }
+                        for d in 1..plan.max_iters {
+                            // End gate at the clock after `d + 1`
+                            // iterations: `advance` takes exactly `d`.
+                            let mut end = blade.clock;
+                            for _ in 0..=d {
+                                end += plan.cost;
+                            }
+                            let horizon = StretchHorizon {
+                                start_gate_s: f64::INFINITY,
+                                end_gate_s: end,
+                                cooldown: None,
+                            };
+                            let mut b = blade.clone();
+                            b.cached_plan = Some(None);
+                            assert_eq!(plan.advance(&mut b, &horizon, &mut NoopObserver), d);
+                            assert_eq!(b.cached_plan, None, "commit clears the slot");
+                            assert_eq!(
+                                Some(plan.rebased(d)),
+                                DecodeStretch::plan(ctx, &trace, &b),
+                                "{kv_layout:?} {decode_pricing:?} prefix {} d={d}",
+                                prefix.is_some()
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "{checked} rebases checked");
     }
 }

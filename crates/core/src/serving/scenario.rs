@@ -702,14 +702,7 @@ impl CompiledScenario<'_> {
         if self.topology.is_disaggregated() {
             let link = self.link.as_ref().expect("validated at compile");
             let table = sim.cost_table(trace, parallel)?;
-            Ok(run_disaggregated(
-                &sim,
-                trace,
-                &table,
-                self.topology.roles(),
-                link,
-                obs,
-            ))
+            run_disaggregated(&sim, trace, &table, self.topology.roles(), link, obs)
         } else {
             let cluster = ClusterSimulator::from_parts(
                 sim,
@@ -735,8 +728,9 @@ impl CompiledScenario<'_> {
     /// # Errors
     ///
     /// Returns [`OptimusError::Serving`] for degenerate requests or a
-    /// request that can never fit the KV capacity; propagates estimation
-    /// failures.
+    /// request that can never fit the KV capacity, and for a replay that
+    /// wedges (no blade can act while requests are pending) instead of
+    /// returning a partial report; propagates estimation failures.
     pub fn run(&self) -> Result<ClusterReport, OptimusError> {
         self.run_on(&self.trace, true, &mut NoopObserver)
     }

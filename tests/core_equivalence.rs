@@ -13,8 +13,8 @@ use llm_workload::Parallelism;
 use optimus::serving::{
     AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane, CountingObserver,
     DecodePricing, DispatchMode, EventHeap, MaxWaitGuardPolicy, RequestSpec, RoutingPolicy,
-    Scenario, SharedPrefixTraceConfig, SimCore, SjfPolicy, SloClass, StrictPriorityPolicy,
-    Topology, TraceConfig, WeightedFairPolicy,
+    Scenario, SharedPrefixTraceConfig, SimCore, SimObserver, SjfPolicy, SloClass,
+    StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
 };
 use optimus::MultiBladeSystem;
 use proptest::prelude::*;
@@ -500,6 +500,170 @@ fn cluster_observer_event_streams_are_identical_between_cores() {
 }
 
 /// A random sorted trace over exact (dyadic) arrival times.
+/// One observer callback, as `(hook, blade, clock bits, a, b)`: `a` and
+/// `b` are the hook's payload (request id, step cost bits, batch, KV
+/// tokens, ...), so two logs are equal only if every callback fired in
+/// the same order with the same arguments to the last bit.
+type Call = (&'static str, u32, u64, u64, u64);
+
+/// A non-passive observer logging every callback in call order.
+#[derive(Default)]
+struct RecordingObserver {
+    log: Vec<Call>,
+}
+
+impl RecordingObserver {
+    fn push(&mut self, hook: &'static str, blade: u32, clock_s: f64, a: u64, b: u64) {
+        self.log.push((hook, blade, clock_s.to_bits(), a, b));
+    }
+}
+
+impl SimObserver for RecordingObserver {
+    fn on_admission(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
+        self.push("admission", blade, clock_s, request.id.into(), 0);
+    }
+    fn on_eviction(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, wasted: u32) {
+        self.push("eviction", blade, clock_s, request.id.into(), wasted.into());
+    }
+    fn on_chunk(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, chunk: u32) {
+        self.push("chunk", blade, clock_s, request.id.into(), chunk.into());
+    }
+    fn on_handoff(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, transfer_s: f64) {
+        self.push(
+            "handoff",
+            blade,
+            clock_s,
+            request.id.into(),
+            transfer_s.to_bits(),
+        );
+    }
+    fn on_completion(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
+        self.push("completion", blade, clock_s, request.id.into(), 0);
+    }
+    fn on_outcome(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, first: f64) {
+        self.push(
+            "outcome",
+            blade,
+            clock_s,
+            request.id.into(),
+            first.to_bits(),
+        );
+    }
+    fn on_cache_hit(&mut self, blade: u32, clock_s: f64, request: &RequestSpec, cached: u32) {
+        self.push(
+            "cache_hit",
+            blade,
+            clock_s,
+            request.id.into(),
+            cached.into(),
+        );
+    }
+    fn on_cache_miss(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
+        self.push("cache_miss", blade, clock_s, request.id.into(), 0);
+    }
+    fn on_cache_evict(&mut self, blade: u32, clock_s: f64, block_tokens: u32) {
+        self.push("cache_evict", blade, clock_s, block_tokens.into(), 0);
+    }
+    fn on_remote_cache_hit(
+        &mut self,
+        blade: u32,
+        clock_s: f64,
+        request: &RequestSpec,
+        remote_tokens: u32,
+        transfer_s: f64,
+        streamed: bool,
+    ) {
+        let b = transfer_s.to_bits() ^ u64::from(streamed);
+        self.push("remote_hit", blade, clock_s, remote_tokens.into(), b);
+        self.push("remote_hit_request", blade, clock_s, request.id.into(), 0);
+    }
+    fn on_step(&mut self, blade: u32, clock_s: f64, step_s: f64, decoding: u32) {
+        self.push("step", blade, clock_s, step_s.to_bits(), decoding.into());
+    }
+    fn on_kv_sample(&mut self, blade: u32, clock_s: f64, kv_tokens: u64, shared_tokens: u64) {
+        self.push("kv_sample", blade, clock_s, kv_tokens, shared_tokens);
+    }
+    fn on_stretch(&mut self, blade: u32, clock_s: f64, n: u64, step_s: f64, decoding: u32, _: u64) {
+        self.push(
+            "stretch",
+            blade,
+            clock_s,
+            n,
+            step_s.to_bits() ^ u64::from(decoding),
+        );
+    }
+    fn on_shed(&mut self, blade: u32, clock_s: f64, request: &RequestSpec) {
+        self.push("shed", blade, clock_s, request.id.into(), 0);
+    }
+    fn on_scale(&mut self, clock_s: f64, from: u32, to: u32) {
+        self.push("scale", u32::MAX, clock_s, from.into(), to.into());
+    }
+}
+
+#[test]
+fn ordered_observer_logs_are_identical_between_cores() {
+    // Callback *order*, not just counts: the leapfrog interleaves many
+    // blades' replayed rounds, so a reordering that keeps every total
+    // intact must still fail here.
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let trace = TraceConfig {
+        seed: 23,
+        requests: 96,
+        arrival_rate_per_s: 80.0,
+        prompt_tokens: (32, 256),
+        output_tokens: (8, 64),
+    };
+    let base = || {
+        Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(4)
+            .unconstrained_kv()
+            .poisson(trace)
+    };
+    fn check<'a>(label: &str, build: &dyn Fn() -> Scenario<'a>, decoders: &[u32]) {
+        let run = |core: SimCore| {
+            let compiled = build().core(core).compile().unwrap();
+            let mut observer = RecordingObserver::default();
+            let report = compiled.run_observed(&mut observer).unwrap();
+            (report, observer.log)
+        };
+        let (event_report, event_log) = run(SimCore::EventDriven);
+        let (step_report, step_log) = run(SimCore::PerStep);
+        assert_eq!(event_report, step_report, "{label}: reports");
+        assert_eq!(event_log.len(), step_log.len(), "{label}: log lengths");
+        if let Some(at) = (0..event_log.len()).find(|&i| event_log[i] != step_log[i]) {
+            panic!(
+                "{label}: logs diverge at call {at}: event {:?} vs per-step {:?}",
+                event_log[at], step_log[at]
+            );
+        }
+        for &b in decoders {
+            assert!(
+                event_log.iter().any(|c| c.0 == "step" && c.1 == b),
+                "{label}: blade {b} never stepped"
+            );
+        }
+        assert!(event_log.iter().all(|c| c.0 != "stretch"), "{label}");
+    }
+    check(
+        "central, 8 mixed blades",
+        &|| {
+            base()
+                .topology(Topology::mixed(8))
+                .dispatch(DispatchMode::Central)
+        },
+        &[0, 1, 2, 3, 4, 5, 6, 7],
+    );
+    check(
+        "disaggregated 2P+2D",
+        &|| base().topology(Topology::disaggregated(2, 2)),
+        &[2, 3],
+    );
+}
+
 fn arb_trace() -> impl Strategy<Value = Vec<RequestSpec>> {
     prop::collection::vec((0u32..48, 8u32..260, 1u32..48), 4..20).prop_map(|specs| {
         let mut arrivals: Vec<f64> = specs
