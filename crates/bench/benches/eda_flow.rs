@@ -12,6 +12,11 @@ fn bench_eda(c: &mut Criterion) {
     c.bench_function("eda/compile_adder8_verified", |b| {
         b.iter(|| flow.compile(black_box(&adder)))
     });
+    // 16 inputs: the exhaustive equivalence check dominates this row.
+    let mult = blocks::array_multiplier(8).expect("mult8");
+    c.bench_function("eda/compile_mult8_verified", |b| {
+        b.iter(|| flow.compile(black_box(&mult)))
+    });
     let unverified = flow.clone().without_verification();
     let mac = blocks::bf16_mac().expect("mac");
     c.bench_function("eda/compile_bf16_mac", |b| {

@@ -68,8 +68,8 @@ impl StarlingFlow {
         self
     }
 
-    /// Disables the built-in equivalence check (useful for very large
-    /// generated blocks in benchmarks).
+    /// Disables the built-in equivalence check, e.g. to time mapping
+    /// alone.
     #[must_use]
     pub fn without_verification(mut self) -> Self {
         self.verify = false;

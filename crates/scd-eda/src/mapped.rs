@@ -251,49 +251,31 @@ impl MappedNetlist {
     /// Returns [`EdaError::BadArity`] on input-count mismatch or
     /// [`EdaError::CombinationalCycle`] for a cyclic netlist.
     pub fn eval_word(&self, assignment: &[u64]) -> Result<Vec<u64>, EdaError> {
-        if assignment.len() != self.inputs.len() {
-            return Err(EdaError::BadArity {
-                op: "mapped eval",
-                expected: "one word per primary input",
-                actual: assignment.len(),
-            });
-        }
-        let order = self.topo_order()?;
-        let input_pos: HashMap<usize, usize> = self
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(k, id)| (id.0, k))
-            .collect();
-        // Up to 2 output ports per node.
+        self.prepare()?.eval_word(assignment)
+    }
+
+    /// Prepares the netlist for repeated word-parallel simulation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EdaError::CombinationalCycle`] for a cyclic netlist.
+    pub(crate) fn prepare(&self) -> Result<WordEvaluator<'_>, EdaError> {
         let mut values = vec![[0u64; 2]; self.nodes.len()];
-        let read = |values: &Vec<[u64; 2]>, p: &Pin| {
-            let v = values[p.node.0][p.port];
-            if p.inverted {
-                !v
-            } else {
-                v
-            }
-        };
-        for id in order {
+        let mut cells = Vec::with_capacity(self.nodes.len());
+        for id in self.topo_order()? {
             match &self.nodes[id.0] {
-                MappedNode::Input { .. } => {
-                    values[id.0][0] = assignment[input_pos[&id.0]];
-                }
+                MappedNode::Input { .. } => {}
                 MappedNode::Const { value } => {
                     values[id.0][0] = if *value { u64::MAX } else { 0 };
                 }
-                MappedNode::Cell { cell, pins } => {
-                    let args: Vec<u64> = pins.iter().map(|p| read(&values, p)).collect();
-                    let outs = eval_cell_word(*cell, &args);
-                    values[id.0][0] = outs[0];
-                    if outs.len() > 1 {
-                        values[id.0][1] = outs[1];
-                    }
-                }
+                MappedNode::Cell { cell, pins } => cells.push((id.0, *cell, pins.as_slice())),
             }
         }
-        Ok(self.outputs.iter().map(|(_, p)| read(&values, p)).collect())
+        Ok(WordEvaluator {
+            netlist: self,
+            cells,
+            values,
+        })
     }
 
     /// Scalar functional simulation.
@@ -314,29 +296,84 @@ impl MappedNetlist {
     }
 }
 
-/// Word-parallel evaluation of a single PCL cell.
-fn eval_cell_word(cell: PclCell, a: &[u64]) -> Vec<u64> {
+/// A [`MappedNetlist`] prepared for repeated word-parallel simulation:
+/// the cell order, input slots and constant values are computed once, and
+/// one value buffer is reused by every word.
+pub(crate) struct WordEvaluator<'a> {
+    netlist: &'a MappedNetlist,
+    /// `(node index, cell, pins)` of every cell, in topological order.
+    cells: Vec<(usize, PclCell, &'a [Pin])>,
+    /// Up to 2 output ports per node; constants are filled in once.
+    values: Vec<[u64; 2]>,
+}
+
+impl WordEvaluator<'_> {
+    /// Simulates 64 patterns: one word per primary input, one per output.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EdaError::BadArity`] on input-count mismatch.
+    pub(crate) fn eval_word(&mut self, assignment: &[u64]) -> Result<Vec<u64>, EdaError> {
+        let net = self.netlist;
+        if assignment.len() != net.inputs.len() {
+            return Err(EdaError::BadArity {
+                op: "mapped eval",
+                expected: "one word per primary input",
+                actual: assignment.len(),
+            });
+        }
+        let values = &mut self.values;
+        for (id, &word) in net.inputs.iter().zip(assignment) {
+            values[id.0] = [word, 0];
+        }
+        for &(id, cell, pins) in &self.cells {
+            let mut args = [0u64; MAX_FANIN];
+            for (arg, p) in args.iter_mut().zip(pins) {
+                *arg = read(values, p);
+            }
+            values[id] = eval_cell_word(cell, &args[..pins.len()]);
+        }
+        Ok(net.outputs.iter().map(|(_, p)| read(values, p)).collect())
+    }
+}
+
+/// Widest library cell fan-in (`And4`, `Ao22`, ...).
+const MAX_FANIN: usize = 4;
+
+/// The word a pin carries, with its dual-rail inversion applied.
+fn read(values: &[[u64; 2]], p: &Pin) -> u64 {
+    let v = values[p.node.0][p.port];
+    if p.inverted {
+        !v
+    } else {
+        v
+    }
+}
+
+/// Word-parallel evaluation of a single PCL cell; single-output cells
+/// leave port 1 at zero.
+fn eval_cell_word(cell: PclCell, a: &[u64]) -> [u64; 2] {
     use PclCell as C;
     let and = |xs: &[u64]| xs.iter().fold(u64::MAX, |x, &y| x & y);
     let or = |xs: &[u64]| xs.iter().fold(0u64, |x, &y| x | y);
     let xor = |xs: &[u64]| xs.iter().fold(0u64, |x, &y| x ^ y);
     let maj = |xs: &[u64]| (xs[0] & xs[1]) | (xs[1] & xs[2]) | (xs[0] & xs[2]);
     match cell {
-        C::Buf => vec![a[0]],
-        C::Inv => vec![!a[0]],
-        C::And2 | C::And3 | C::And4 => vec![and(a)],
-        C::Nand2 | C::Nand3 | C::Nand4 => vec![!and(a)],
-        C::Or2 | C::Or3 | C::Or4 => vec![or(a)],
-        C::Nor2 | C::Nor3 | C::Nor4 => vec![!or(a)],
-        C::Xor2 | C::Xor3 => vec![xor(a)],
-        C::Xnor2 | C::Xnor3 => vec![!xor(a)],
-        C::Maj3 => vec![maj(a)],
-        C::Maj3Inv => vec![!maj(a)],
-        C::Ao22 => vec![(a[0] & a[1]) | (a[2] & a[3])],
-        C::Oa22 => vec![(a[0] | a[1]) & (a[2] | a[3])],
-        C::HalfAdder => vec![xor(a), and(a)],
-        C::FullAdder => vec![xor(a), maj(a)],
-        C::Splitter => vec![a[0], a[0]],
+        C::Buf => [a[0], 0],
+        C::Inv => [!a[0], 0],
+        C::And2 | C::And3 | C::And4 => [and(a), 0],
+        C::Nand2 | C::Nand3 | C::Nand4 => [!and(a), 0],
+        C::Or2 | C::Or3 | C::Or4 => [or(a), 0],
+        C::Nor2 | C::Nor3 | C::Nor4 => [!or(a), 0],
+        C::Xor2 | C::Xor3 => [xor(a), 0],
+        C::Xnor2 | C::Xnor3 => [!xor(a), 0],
+        C::Maj3 => [maj(a), 0],
+        C::Maj3Inv => [!maj(a), 0],
+        C::Ao22 => [(a[0] & a[1]) | (a[2] & a[3]), 0],
+        C::Oa22 => [(a[0] | a[1]) & (a[2] | a[3]), 0],
+        C::HalfAdder => [xor(a), and(a)],
+        C::FullAdder => [xor(a), maj(a)],
+        C::Splitter => [a[0], a[0]],
     }
 }
 
@@ -421,6 +458,26 @@ mod tests {
         let spl = m.add_cell(PclCell::Splitter, vec![Pin::of(a)]);
         m.set_pins(g, vec![Pin::of(spl)]);
         assert_eq!(m.eval(&[true]).unwrap(), vec![true]);
+    }
+
+    #[test]
+    fn prepared_evaluator_is_reusable() {
+        let source = crate::blocks::array_multiplier(8).unwrap();
+        let mut m = crate::synth::synthesize(&source).unwrap().mapped;
+        crate::splitter::insert_splitters(&mut m);
+        let mut eval = m.prepare().unwrap();
+        let mut word = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..32 {
+            let words: Vec<u64> = (0..m.inputs().len())
+                .map(|_| {
+                    word = word.rotate_left(7).wrapping_mul(0x2545_F491_4F6C_DD1D);
+                    word
+                })
+                .collect();
+            let fresh = m.eval_word(&words).unwrap();
+            assert_eq!(eval.eval_word(&words).unwrap(), fresh);
+            assert_eq!(source.eval_word(&words).unwrap(), fresh);
+        }
     }
 
     #[test]

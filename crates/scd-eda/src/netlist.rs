@@ -381,6 +381,7 @@ impl Netlist {
             });
         }
         let mut values = vec![0u64; self.nodes.len()];
+        let mut args = Vec::new();
         let mut next_input = 0;
         for (i, n) in self.nodes.iter().enumerate() {
             match n {
@@ -389,7 +390,8 @@ impl Netlist {
                     next_input += 1;
                 }
                 Node::Gate { op, inputs } => {
-                    let args: Vec<u64> = inputs.iter().map(|x| values[x.0]).collect();
+                    args.clear();
+                    args.extend(inputs.iter().map(|x| values[x.0]));
                     values[i] = op.eval_word(&args);
                 }
             }

@@ -4,9 +4,15 @@
 //! Designs up to 16 inputs are checked exhaustively; larger designs use
 //! word-parallel random simulation (64 patterns per word), which in
 //! practice exposes any mapping bug in the structural flow.
+//!
+//! The mapped netlist is prepared for simulation once per check (cell
+//! order, input slots and constants), and every word reuses it. The
+//! exhaustive input words are built in closed form: the six low inputs
+//! carry fixed lane patterns and every higher input is constant across
+//! a 64-pattern block.
 
 use crate::error::EdaError;
-use crate::mapped::MappedNetlist;
+use crate::mapped::{MappedNetlist, WordEvaluator};
 use crate::netlist::Netlist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,46 +24,73 @@ use rand::{Rng, SeedableRng};
 ///
 /// # Errors
 ///
-/// Returns [`EdaError::NotEquivalent`] with a witness pattern on mismatch,
-/// or any simulation error.
+/// Returns [`EdaError::BadArity`] if the two netlists differ in their
+/// input or output counts, [`EdaError::NotEquivalent`] with a witness
+/// pattern on mismatch, or any simulation error.
 pub fn check_equivalent(
     source: &Netlist,
     mapped: &MappedNetlist,
     random_words: usize,
 ) -> Result<(), EdaError> {
     let n_inputs = source.inputs().len();
-    assert_eq!(
-        n_inputs,
-        mapped.inputs().len(),
-        "input count mismatch between source and mapped netlists"
-    );
+    if mapped.inputs().len() != n_inputs {
+        return Err(EdaError::BadArity {
+            op: "equivalence check",
+            expected: "the source's count of primary",
+            actual: mapped.inputs().len(),
+        });
+    }
+    if mapped.outputs().len() != source.outputs().len() {
+        return Err(EdaError::BadArity {
+            op: "output comparison",
+            expected: "one mapped output per source output as",
+            actual: mapped.outputs().len(),
+        });
+    }
+    let mut eval = mapped.prepare()?;
     if n_inputs <= 16 {
-        check_exhaustive(source, mapped, n_inputs)
+        check_exhaustive(source, &mut eval, n_inputs)
     } else {
-        check_random(source, mapped, n_inputs, random_words)
+        check_random(source, &mut eval, n_inputs, random_words)
+    }
+}
+
+/// Bit `k` of lane pattern `i` is bit `i` of `k`.
+const LANES: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// Fills `words` so that bit `k` of input word `i` is bit `i` of
+/// `base + k`; `base` must be a multiple of 64.
+fn exhaustive_words(base: u64, words: &mut [u64]) {
+    debug_assert_eq!(base % 64, 0);
+    for (i, w) in words.iter_mut().enumerate() {
+        *w = match LANES.get(i) {
+            Some(&lane) => lane,
+            None if base >> i & 1 == 1 => u64::MAX,
+            None => 0,
+        };
     }
 }
 
 fn check_exhaustive(
     source: &Netlist,
-    mapped: &MappedNetlist,
+    mapped: &mut WordEvaluator<'_>,
     n_inputs: usize,
 ) -> Result<(), EdaError> {
     let total: u64 = 1 << n_inputs;
+    let mut words = vec![0u64; n_inputs];
     let mut pattern = 0u64;
     while pattern < total {
-        // Pack up to 64 consecutive assignments into one word evaluation:
-        // bit k of input word i = bit i of (pattern + k).
+        // Below 6 inputs the single block is partial: its lanes at or
+        // above `block` repeat earlier patterns and are masked off.
         let block = (total - pattern).min(64);
-        let mut words = vec![0u64; n_inputs];
-        for k in 0..block {
-            let assignment = pattern + k;
-            for (i, w) in words.iter_mut().enumerate() {
-                if assignment >> i & 1 == 1 {
-                    *w |= 1 << k;
-                }
-            }
-        }
+        exhaustive_words(pattern, &mut words);
         compare_words(source, mapped, &words, pattern, block)?;
         pattern += block;
     }
@@ -66,7 +99,7 @@ fn check_exhaustive(
 
 fn check_random(
     source: &Netlist,
-    mapped: &MappedNetlist,
+    mapped: &mut WordEvaluator<'_>,
     n_inputs: usize,
     words: usize,
 ) -> Result<(), EdaError> {
@@ -80,7 +113,7 @@ fn check_random(
 
 fn compare_words(
     source: &Netlist,
-    mapped: &MappedNetlist,
+    mapped: &mut WordEvaluator<'_>,
     words: &[u64],
     base_pattern: u64,
     valid_bits: u64,
@@ -151,6 +184,90 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// A source whose single output is the minterm `pattern` of
+    /// `n_inputs` inputs, and a mapped netlist that ties it to 0.
+    fn minterm_vs_zero(n_inputs: usize, pattern: u64) -> (Netlist, MappedNetlist) {
+        let mut n = Netlist::new("minterm");
+        let mut m = MappedNetlist::new("zero");
+        let mut literals = Vec::new();
+        for i in 0..n_inputs {
+            let x = n.add_input(format!("i{i}"));
+            m.add_input(format!("i{i}"));
+            literals.push(if pattern >> i & 1 == 1 {
+                x
+            } else {
+                n.add_gate(LogicOp::Not, vec![x]).unwrap()
+            });
+        }
+        let g = n.add_gate(LogicOp::And, literals).unwrap();
+        n.add_output("y", g);
+        let zero = m.add_const(false);
+        m.add_output("y", Pin::of(zero));
+        (n, m)
+    }
+
+    #[test]
+    fn closed_form_words_match_bitwise_definition() {
+        let mut words = [0u64; 16];
+        for base in [0u64, 64, 0x1240, 0xFFC0] {
+            exhaustive_words(base, &mut words);
+            for (i, &w) in words.iter().enumerate() {
+                for k in 0..64 {
+                    assert_eq!(w >> k & 1, (base + k) >> i & 1, "input {i} lane {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exhaustive_witness_is_the_single_differing_minterm() {
+        let (n, m) = minterm_vs_zero(16, 0xBEEF);
+        assert_eq!(
+            check_equivalent(&n, &m, 4),
+            Err(EdaError::NotEquivalent {
+                output: 0,
+                pattern: 0xBEEF
+            })
+        );
+    }
+
+    #[test]
+    fn partial_block_lanes_never_produce_a_witness() {
+        let (n, m) = minterm_vs_zero(3, 5);
+        assert_eq!(
+            check_equivalent(&n, &m, 4),
+            Err(EdaError::NotEquivalent {
+                output: 0,
+                pattern: 5
+            })
+        );
+    }
+
+    #[test]
+    fn input_count_mismatch_is_an_error() {
+        let (n, _) = minterm_vs_zero(3, 5);
+        let (_, m) = minterm_vs_zero(2, 1);
+        assert!(matches!(
+            check_equivalent(&n, &m, 4),
+            Err(EdaError::BadArity { actual: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn dropped_output_is_an_error() {
+        let mut n = Netlist::new("two");
+        let a = n.add_input("a");
+        n.add_output("y", a);
+        n.add_output("z", a);
+        let mut m = MappedNetlist::new("one");
+        let ma = m.add_input("a");
+        m.add_output("y", Pin::of(ma));
+        assert!(matches!(
+            check_equivalent(&n, &m, 4),
+            Err(EdaError::BadArity { actual: 1, .. })
+        ));
     }
 
     #[test]
