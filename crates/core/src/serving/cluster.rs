@@ -23,8 +23,8 @@ use super::engine::{
     finalize, BladeState, CostTable, Outcome, ReplayTotals, ServingSimulator, SimCore,
 };
 use super::events::{
-    leapfrog_decode, CentralKeyedQueue, DecodeStretch, LeapfrogMember, ReadyWindow, StretchHorizon,
-    TrackedQueue,
+    leapfrog_decode, CentralKeyedQueue, DecodeStretch, LeapfrogGates, MemberRounds, ReadyWindow,
+    StretchHorizon, TrackedQueue,
 };
 use super::observer::{NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -782,19 +782,7 @@ impl<'a> ClusterSimulator<'a> {
             // could admit. Under an autoscaler only the active prefix of
             // the blade pool competes.
             let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let chosen = (0..active)
-                .filter_map(|b| {
-                    let s = &states[b];
-                    if !s.running.is_empty() {
-                        Some((s.clock, b))
-                    } else if !queue.is_empty() {
-                        Some((s.clock.max(next_ready), b))
-                    } else {
-                        None
-                    }
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let Some((at, b)) = chosen else {
+            let Some((at, b)) = next_blade(&states[..active], queue.is_empty(), next_ready) else {
                 return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
@@ -848,6 +836,16 @@ impl<'a> ClusterSimulator<'a> {
     /// eligibility partition — are replaced by a lazy ready-time window
     /// plus membership bookkeeping, each skipped whenever its outcome is
     /// provably the identity.
+    ///
+    /// After each round the loop fast-forwards the blades through their
+    /// pure-decode futures: with an autoscaler, the stepped blade alone
+    /// ([`central_decode_stretch`]); without one, every running blade in
+    /// one [`leapfrog_decode`] that also runs the members' own rounds in
+    /// place through [`CentralRounds::round`], the body this loop runs.
+    /// The leapfrog returns the requests those rounds completed or shed
+    /// and this loop adds them to `served`. Control comes back here only
+    /// when an idle blade's pickup is due, or when a round leaves FCFS
+    /// victims queued (skipped partitions turn observable).
     fn run_central_event(
         &self,
         cluster: ClusterConfig,
@@ -858,135 +856,63 @@ impl<'a> ClusterSimulator<'a> {
     ) -> Result<Replayed, OptimusError> {
         let blades = cluster.blades as usize;
         let ctx = self.sim.ctx(table);
-        let fcfs = self.sim.policy().ordering() == OrderingContract::Fcfs;
-        let mut ctl = self.sim.control_state(trace.len());
-        let mut queue = ServingSimulator::arrival_queue(trace);
-        let mut outcomes = vec![Outcome::default(); trace.len()];
+        let queue = ServingSimulator::arrival_queue(trace);
+        let mut central = CentralRounds {
+            ctx: &ctx,
+            trace,
+            fcfs: self.sim.policy().ordering() == OrderingContract::Fcfs,
+            book: ReadyBook::new(trace, &queue),
+            queue,
+            victims: Vec::new(),
+            outcomes: vec![Outcome::default(); trace.len()],
+            ctl: self.sim.control_state(trace.len()),
+        };
         let mut states: Vec<BladeState> = (0..blades)
             .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
             .collect();
-        let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-        let mut in_queue = vec![true; trace.len()];
-        let mut is_victim = vec![false; trace.len()];
-        let mut victims_in_queue = 0usize;
-        let mut victim_list: Vec<usize> = Vec::new();
-        // The queue starts arrival-ordered: its ready times, in order,
-        // are the sorted arrival axis the stretch horizon binary-searches.
-        let sorted_arrivals: Vec<f64> = queue.iter().map(|&i| ready[i]).collect();
-        let mut window = ReadyWindow::new();
-        for &i in &queue {
-            window.push(ready[i], i);
-        }
-        let mut victims: Vec<usize> = Vec::new();
         let mut served = 0u32;
         while served < trace.len() as u32 {
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
+            let next_ready = central.book.next_ready();
             let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let chosen = (0..active)
-                .filter_map(|b| {
-                    let s = &states[b];
-                    if !s.running.is_empty() {
-                        Some((s.clock, b))
-                    } else if !queue.is_empty() {
-                        Some((s.clock.max(next_ready), b))
-                    } else {
-                        None
-                    }
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let Some((at, b)) = chosen else {
+            let Some((at, b)) = next_blade(&states[..active], central.queue.is_empty(), next_ready)
+            else {
                 return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
             if blade.running.is_empty() {
                 blade.clock = blade.clock.max(at);
             }
-            if !fcfs {
-                self.sim
-                    .policy()
-                    .order_queue(blade.clock, trace, &mut queue);
-            }
-            let clock = blade.clock;
-            // The eligibility partition is the identity when no victim
-            // re-entry times disturb the FCFS arrival order, when every
-            // member is already eligible, or when none is.
-            let skip_partition = (fcfs && victims_in_queue == 0)
-                || window.max(&in_queue, &ready).is_none_or(|t| t <= clock)
-                || window.min(&in_queue, &ready).is_none_or(|t| t > clock);
-            if !skip_partition {
-                let (eligible, waiting): (Vec<usize>, Vec<usize>) =
-                    queue.iter().copied().partition(|&i| ready[i] <= clock);
-                queue.clear();
-                queue.extend(eligible);
-                queue.extend(waiting);
-            }
-            victims.clear();
-            let mut tracked = TrackedQueue::new(&mut queue);
-            served += ctx.step(
-                trace,
-                &ready,
-                &mut tracked,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
-                None,
-                ctl.as_mut(),
-                obs,
-            );
-            // Membership bookkeeping: admissions leave the queue before
-            // same-step victims re-enter it (an admit-then-evict round
-            // must end with the victim counted back in).
-            for &i in &tracked.admitted {
-                in_queue[i] = false;
-                if is_victim[i] {
-                    is_victim[i] = false;
-                    victims_in_queue -= 1;
-                }
-            }
-            for &v in &victims {
-                ready[v] = states[b].clock;
-                in_queue[v] = true;
-                if !is_victim[v] {
-                    is_victim[v] = true;
-                    victims_in_queue += 1;
-                    if victim_list.len() >= (2 * victims_in_queue).max(8) {
-                        victim_list.retain(|&i| is_victim[i]);
-                    }
-                    victim_list.push(v);
-                }
-                window.push(ready[v], v);
-            }
-            let mut scaler_depth = 0usize;
+            served += central.round(blade, obs);
             if let Some(sc) = scale.as_deref_mut() {
                 let now = states[b].clock;
-                scaler_depth = queue.iter().filter(|&&i| ready[i] <= now).count();
-                autoscale_round(sc, &mut states, now, scaler_depth, obs);
+                let ready = &central.book.ready;
+                let depth = central.queue.iter().filter(|&&i| ready[i] <= now).count();
+                autoscale_round(sc, &mut states, now, depth, obs);
+                let next_ready = central.book.next_ready();
+                central_decode_stretch(
+                    &ctx,
+                    trace,
+                    &mut states,
+                    b,
+                    central.queue.is_empty(),
+                    next_ready,
+                    central.partition_observable(),
+                    sc,
+                    depth,
+                    &central.book,
+                    obs,
+                );
+            } else {
+                served += central_leapfrog(
+                    &ctx,
+                    trace,
+                    &mut states,
+                    LeapfrogQueue::Deque(&mut central),
+                    obs,
+                );
             }
-            // Fast-forward the stepped blade through its pure-decode
-            // future up to the cluster-wide stretch horizon. Only FCFS
-            // rounds with blocked victims partition observably here —
-            // clock-dependent policies re-sort from scratch each round,
-            // erasing any skipped partition (their history-independence
-            // contract), and StaticKey policies use the keyed loop.
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
-            central_decode_stretch(
-                &ctx,
-                trace,
-                &mut states,
-                b,
-                queue.is_empty(),
-                next_ready,
-                fcfs && victims_in_queue > 0,
-                scale.as_deref(),
-                scaler_depth,
-                &sorted_arrivals,
-                &victim_list,
-                &is_victim,
-                &ready,
-                obs,
-            );
         }
-        Ok((states, outcomes, ctl))
+        Ok((states, central.outcomes, central.ctl))
     }
 
     /// Central-dispatch event loop specialized for
@@ -1007,6 +933,9 @@ impl<'a> ClusterSimulator<'a> {
     /// admission scan sees exactly the eligible requests in key order,
     /// and stops at batch/KV limits only — never at a blocked victim
     /// parked mid-order.
+    ///
+    /// Its leapfrog runs no rounds in place: a member reaching its own
+    /// gate ends the leapfrog, and the round runs here.
     fn run_central_event_keyed(
         &self,
         cluster: ClusterConfig,
@@ -1022,39 +951,18 @@ impl<'a> ClusterSimulator<'a> {
         // Capture the sorted arrival axis before the keyed queue consumes
         // the arrival-ordered index list (traces themselves may arrive
         // unsorted; `arrival_queue` is what sorts them).
-        let sorted_arrivals: Vec<f64> = arrival_order.iter().map(|&i| trace[i].arrival_s).collect();
+        let mut book = ReadyBook::new(trace, &arrival_order);
         let mut queue = CentralKeyedQueue::new(self.sim.policy(), trace, arrival_order);
         let mut outcomes = vec![Outcome::default(); trace.len()];
         let mut states: Vec<BladeState> = (0..blades)
             .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
             .collect();
-        let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-        let mut in_queue = vec![true; trace.len()];
-        let mut is_victim = vec![false; trace.len()];
-        let mut victims_in_queue = 0usize;
-        let mut victim_list: Vec<usize> = Vec::new();
-        let mut window = ReadyWindow::new();
-        for (i, &at) in ready.iter().enumerate() {
-            window.push(at, i);
-        }
         let mut victims: Vec<usize> = Vec::new();
         let mut served = 0u32;
         while served < trace.len() as u32 {
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
+            let next_ready = book.next_ready();
             let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let chosen = (0..active)
-                .filter_map(|b| {
-                    let s = &states[b];
-                    if !s.running.is_empty() {
-                        Some((s.clock, b))
-                    } else if !queue.is_empty() {
-                        Some((s.clock.max(next_ready), b))
-                    } else {
-                        None
-                    }
-                })
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let Some((at, b)) = chosen else {
+            let Some((at, b)) = next_blade(&states[..active], queue.is_empty(), next_ready) else {
                 return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
@@ -1065,13 +973,13 @@ impl<'a> ClusterSimulator<'a> {
             queue.prepare(clock, trace);
             // Only re-queued victims can be arrived-but-not-ready, so the
             // extraction scan runs only while victims are in the queue.
-            if victims_in_queue > 0 {
-                queue.extract_blocked(clock, &ready);
+            if book.victims_in_queue > 0 {
+                queue.extract_blocked(clock, &book.ready);
             }
             victims.clear();
             served += ctx.step(
                 trace,
-                &ready,
+                &book.ready,
                 &mut queue,
                 blade,
                 &mut outcomes,
@@ -1080,57 +988,269 @@ impl<'a> ClusterSimulator<'a> {
                 ctl.as_mut(),
                 obs,
             );
-            for &i in &queue.admitted {
-                in_queue[i] = false;
-                if is_victim[i] {
-                    is_victim[i] = false;
-                    victims_in_queue -= 1;
-                }
-            }
+            book.record_round(&queue.admitted, &victims, states[b].clock);
             queue.admitted.clear();
-            for &v in &victims {
-                ready[v] = states[b].clock;
-                in_queue[v] = true;
-                if !is_victim[v] {
-                    is_victim[v] = true;
-                    victims_in_queue += 1;
-                    if victim_list.len() >= (2 * victims_in_queue).max(8) {
-                        victim_list.retain(|&i| is_victim[i]);
-                    }
-                    victim_list.push(v);
-                }
-                window.push(ready[v], v);
-            }
             queue.restore_blocked();
-            let mut scaler_depth = 0usize;
-            if let Some(sc) = scale.as_deref_mut() {
-                let now = states[b].clock;
-                scaler_depth = queue.ready_depth(&ready, now);
-                autoscale_round(sc, &mut states, now, scaler_depth, obs);
-            }
             // Any ordering policy may run here (this loop serves
             // StaticKey dispatch), so blocked victims always partition
             // observably: their extraction depends on the stepping
             // blade's clock relative to each victim's re-entry time.
-            let next_ready = window.min(&in_queue, &ready).unwrap_or(f64::MAX);
-            central_decode_stretch(
-                &ctx,
-                trace,
-                &mut states,
-                b,
-                queue.is_empty(),
-                next_ready,
-                victims_in_queue > 0,
-                scale.as_deref(),
-                scaler_depth,
-                &sorted_arrivals,
-                &victim_list,
-                &is_victim,
-                &ready,
-                obs,
-            );
+            if let Some(sc) = scale.as_deref_mut() {
+                let now = states[b].clock;
+                let depth = queue.ready_depth(&book.ready, now);
+                autoscale_round(sc, &mut states, now, depth, obs);
+                let next_ready = book.next_ready();
+                central_decode_stretch(
+                    &ctx,
+                    trace,
+                    &mut states,
+                    b,
+                    queue.is_empty(),
+                    next_ready,
+                    book.victims_in_queue > 0,
+                    sc,
+                    depth,
+                    &book,
+                    obs,
+                );
+            } else {
+                let keyed = LeapfrogQueue::Keyed {
+                    book: &mut book,
+                    empty: queue.is_empty(),
+                };
+                central_leapfrog(&ctx, trace, &mut states, keyed, obs);
+            }
         }
         Ok((states, outcomes, ctl))
+    }
+}
+
+/// The central loops' next-action pick: the blade whose next useful
+/// action comes earliest — its own clock when it has running work, else
+/// the instant the shared queue (earliest ready time `next_ready`) could
+/// hand it an admission — with ties broken by blade index. `None` when
+/// no blade can act. Under an autoscaler callers pass only the active
+/// prefix of the blade pool.
+fn next_blade(states: &[BladeState], queue_empty: bool, next_ready: f64) -> Option<(f64, usize)> {
+    states
+        .iter()
+        .enumerate()
+        .filter_map(|(b, s)| {
+            if !s.running.is_empty() {
+                Some((s.clock, b))
+            } else if !queue_empty {
+                Some((s.clock.max(next_ready), b))
+            } else {
+                None
+            }
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+}
+
+/// Ready-time bookkeeping for a central event loop's shared queue: when
+/// each request may (re-)enter a batch, which requests are queued, which
+/// queued ones are preemption victims, and a lazy window over the queued
+/// ready times.
+struct ReadyBook {
+    /// Arrival for fresh requests, the evicting round's end for victims:
+    /// a victim's KV is not free (nor the decision known elsewhere) any
+    /// earlier.
+    ready: Vec<f64>,
+    in_queue: Vec<bool>,
+    is_victim: Vec<bool>,
+    victims_in_queue: usize,
+    /// The queued victims, plus stale entries compacted as they pile up.
+    victim_list: Vec<usize>,
+    /// The trace's arrival instants in ascending order: the axis
+    /// [`Self::transition`] binary-searches.
+    sorted_arrivals: Vec<f64>,
+    window: ReadyWindow,
+}
+
+impl ReadyBook {
+    /// Every request queued at its arrival; `arrival_order` is the trace
+    /// sorted by arrival ([`ServingSimulator::arrival_queue`]).
+    fn new(trace: &[RequestSpec], arrival_order: &VecDeque<usize>) -> Self {
+        let ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
+        let sorted_arrivals = arrival_order.iter().map(|&i| ready[i]).collect();
+        let mut window = ReadyWindow::new();
+        for &i in arrival_order {
+            window.push(ready[i], i);
+        }
+        Self {
+            in_queue: vec![true; trace.len()],
+            is_victim: vec![false; trace.len()],
+            victims_in_queue: 0,
+            victim_list: Vec::new(),
+            sorted_arrivals,
+            window,
+            ready,
+        }
+    }
+
+    /// The earliest queued ready time (`f64::MAX` when nothing is queued).
+    fn next_ready(&mut self) -> f64 {
+        self.window
+            .min(&self.in_queue, &self.ready)
+            .unwrap_or(f64::MAX)
+    }
+
+    /// Records one round: the requests it took off the queue (admitted
+    /// or shed) leave it before the round's victims re-enter it, ready at
+    /// the round's end `at` — an admit-then-evict round must end with the
+    /// victim counted back in.
+    fn record_round(&mut self, taken: &[usize], victims: &[usize], at: f64) {
+        for &i in taken {
+            self.in_queue[i] = false;
+            if self.is_victim[i] {
+                self.is_victim[i] = false;
+                self.victims_in_queue -= 1;
+            }
+        }
+        for &v in victims {
+            self.ready[v] = at;
+            self.in_queue[v] = true;
+            if !self.is_victim[v] {
+                self.is_victim[v] = true;
+                self.victims_in_queue += 1;
+                if self.victim_list.len() >= (2 * self.victims_in_queue).max(8) {
+                    let is_victim = &self.is_victim;
+                    self.victim_list.retain(|&i| is_victim[i]);
+                }
+                self.victim_list.push(v);
+            }
+            self.window.push(at, v);
+        }
+    }
+
+    /// The earliest instant after `clock` at which any queued request's
+    /// eligibility can change: the next arrival anywhere in the trace
+    /// (requests already departed arrived in the past, so the global
+    /// arrival successor is never *later* than the queue's own — an early
+    /// bound only truncates stretches, never extends them) or the earliest
+    /// future victim re-entry. While the stepped blade's clock stays below
+    /// this instant, the set of eligible requests, and with it the
+    /// autoscaler's ready-depth signal, is provably frozen.
+    fn transition(&self, clock: f64) -> f64 {
+        let p = self.sorted_arrivals.partition_point(|&a| a <= clock);
+        let mut e = self
+            .sorted_arrivals
+            .get(p)
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        for &v in &self.victim_list {
+            if self.is_victim[v] && self.ready[v] > clock {
+                e = e.min(self.ready[v]);
+            }
+        }
+        e
+    }
+
+    /// Whether a queued victim is still blocked at `clock`: its re-entry
+    /// instant lies ahead. Only then can a round's eligibility partition
+    /// move anything. Requests that have not arrived yet sit behind every
+    /// arrived one in arrival order, and a victim enters at the front and
+    /// stays ahead of them when demoted; the keyed queue extracts blocked
+    /// victims only. A round skipped while a victim is blocked would lose
+    /// the demotion the per-step loop applies, so skipped rounds must not
+    /// start at such a clock even when the eligible set stays frozen.
+    fn victim_blocked_at(&self, clock: f64) -> bool {
+        self.victim_list
+            .iter()
+            .any(|&v| self.is_victim[v] && self.ready[v] > clock)
+    }
+}
+
+/// The shared queue of the FCFS / clock-ordered central event loop and
+/// the one round body that loop and its leapfrog both run.
+struct CentralRounds<'c> {
+    ctx: &'c EngineCtx<'c>,
+    trace: &'c [RequestSpec],
+    /// Whether the policy keeps arrival order (no per-round re-sort).
+    fcfs: bool,
+    queue: VecDeque<usize>,
+    book: ReadyBook,
+    /// Scratch: the current round's preemption victims.
+    victims: Vec<usize>,
+    outcomes: Vec<Outcome>,
+    ctl: Option<ControlState>,
+}
+
+impl CentralRounds<'_> {
+    /// Runs `blade`'s round at its current clock: re-sort the queue for a
+    /// clock-ordered policy, partition it so requests not yet ready go
+    /// behind ready ones, step the engine (victims re-queued, shedding
+    /// gate applied) and record the round's queue changes. Returns the
+    /// requests it completed or shed.
+    fn round(&mut self, blade: &mut BladeState, obs: &mut dyn SimObserver) -> u32 {
+        let clock = blade.clock;
+        if !self.fcfs {
+            self.ctx
+                .policy
+                .order_queue(clock, self.trace, &mut self.queue);
+        }
+        // The eligibility partition is the identity when no victim
+        // re-entry times disturb the FCFS arrival order, when every
+        // member is already eligible, or when none is.
+        let book = &mut self.book;
+        let skip_partition = (self.fcfs && book.victims_in_queue == 0)
+            || book
+                .window
+                .max(&book.in_queue, &book.ready)
+                .is_none_or(|t| t <= clock)
+            || book
+                .window
+                .min(&book.in_queue, &book.ready)
+                .is_none_or(|t| t > clock);
+        if !skip_partition {
+            let ready = &book.ready;
+            let (eligible, waiting): (Vec<usize>, Vec<usize>) =
+                self.queue.iter().copied().partition(|&i| ready[i] <= clock);
+            self.queue.clear();
+            self.queue.extend(eligible);
+            self.queue.extend(waiting);
+        }
+        self.victims.clear();
+        let mut tracked = TrackedQueue::new(&mut self.queue);
+        let served = self.ctx.step(
+            self.trace,
+            &book.ready,
+            &mut tracked,
+            blade,
+            &mut self.outcomes,
+            Some(&mut self.victims),
+            None,
+            self.ctl.as_mut(),
+            obs,
+        );
+        book.record_round(&tracked.admitted, &self.victims, blade.clock);
+        served
+    }
+
+    /// Whether skipped rounds would re-partition the queue observably:
+    /// FCFS rounds with victims queued. Clock-ordered policies re-sort
+    /// from scratch each round, erasing any skipped partition (their
+    /// history-independence contract), and StaticKey policies use the
+    /// keyed loop.
+    fn partition_observable(&self) -> bool {
+        self.fcfs && self.book.victims_in_queue > 0
+    }
+}
+
+impl MemberRounds for CentralRounds<'_> {
+    fn run(&mut self, blade: &mut BladeState, obs: &mut dyn SimObserver) -> u32 {
+        self.round(blade, obs)
+    }
+
+    fn open_gate(&mut self) -> Option<f64> {
+        let next_ready = self.book.next_ready();
+        if self.partition_observable() {
+            None
+        } else if self.queue.is_empty() {
+            Some(f64::INFINITY)
+        } else {
+            Some(next_ready)
+        }
     }
 }
 
@@ -1157,33 +1277,12 @@ fn autoscale_round(
     }
 }
 
-/// The earliest instant after `clock` at which any queued request's
-/// eligibility can change: the next arrival anywhere in the trace
-/// (requests already departed arrived in the past, so the global
-/// arrival successor is never *later* than the queue's own — an early
-/// bound only truncates stretches, never extends them) or the earliest
-/// future victim re-entry. While the stepped blade's clock stays below
-/// this instant, the eligibility partition and the autoscaler's
-/// ready-depth signal are provably frozen.
-fn next_ready_transition(
-    clock: f64,
-    sorted_arrivals: &[f64],
-    victim_list: &[usize],
-    is_victim: &[bool],
-    ready: &[f64],
-) -> f64 {
-    let p = sorted_arrivals.partition_point(|&a| a <= clock);
-    let mut e = sorted_arrivals.get(p).copied().unwrap_or(f64::INFINITY);
-    for &v in victim_list {
-        if is_victim[v] && ready[v] > clock {
-            e = e.min(ready[v]);
-        }
-    }
-    e
-}
-
-/// Fast-forwards blade `b` of a central-dispatch loop through its
-/// pure-decode future, bounded by the cluster-wide stretch horizon:
+/// Fast-forwards blade `b` of an autoscaled central-dispatch loop through
+/// its pure-decode future, bounded by the cluster-wide stretch horizon.
+/// Only the just-stepped blade stretches: the frozen depth/idleness
+/// signal the scaler evaluates is sampled at that blade's clock and does
+/// not transfer to blades whose clocks trail it (without an autoscaler
+/// every blade leapfrogs at once, see [`central_leapfrog`]).
 ///
 /// * **Blade race** (start gate): every other active blade's next action
 ///   instant — its clock while it holds running work, else the moment
@@ -1192,11 +1291,12 @@ fn next_ready_transition(
 /// * **Own admission** (start gate): with a batch slot open, the
 ///   earliest queued ready time; a full batch admits nothing, so the
 ///   queue only gates through the partition bound below.
-/// * **Eligibility partition** (start gate, `partition_needs_e`): when
-///   skipped rounds would re-partition the queue observably (FCFS with
-///   blocked victims in the deque loop, victim demotion in the keyed
-///   loop), the stretch stops at the next ready-time transition, which
-///   freezes the partition across every skipped round.
+/// * **Eligibility partition** (`partition_observable`): when skipped
+///   rounds could re-partition the queue observably (FCFS with victims
+///   queued in the deque loop, any victim in the keyed loop), a full
+///   batch does not stretch while a queued victim is still blocked at
+///   its clock ([`ReadyBook::victim_blocked_at`]). With none blocked,
+///   every skipped partition is the identity.
 /// * **Autoscaler** (end gates): evaluations fire at round *end* clocks.
 ///   An armed scaler (watermark branch would fire at the frozen
 ///   depth/idleness) bounds the stretch by its exact cooldown-expiry
@@ -1216,43 +1316,18 @@ fn central_decode_stretch(
     b: usize,
     queue_empty: bool,
     next_ready: f64,
-    partition_needs_e: bool,
-    scale: Option<&ScaleState>,
+    partition_observable: bool,
+    scale: &ScaleState,
     scaler_depth: usize,
-    sorted_arrivals: &[f64],
-    victim_list: &[usize],
-    is_victim: &[bool],
-    ready: &[f64],
+    book: &ReadyBook,
     obs: &mut dyn SimObserver,
 ) {
-    if scale.is_none() {
-        // Without an autoscaler every blade can leapfrog at once: the
-        // skipped rounds are replayed in exact per-step order, so no
-        // conservative blade-race gate is needed. (The autoscaler path
-        // below stretches only the just-stepped blade: its frozen
-        // depth/idleness signal is sampled at that blade's clock and
-        // does not transfer to members whose clocks trail it.)
-        central_leapfrog(
-            ctx,
-            trace,
-            states,
-            queue_empty,
-            next_ready,
-            partition_needs_e,
-            sorted_arrivals,
-            victim_list,
-            is_victim,
-            ready,
-            obs,
-        );
-        return;
-    }
     if states[b].running.is_empty() {
         return;
     }
     let clock = states[b].clock;
     let batch_full = states[b].running.len() >= ctx.config.max_batch as usize;
-    let active = scale.map_or(states.len(), |s| s.active() as usize);
+    let active = scale.active() as usize;
     let mut start_gate = f64::INFINITY;
     for (ob, s) in states.iter().enumerate().take(active) {
         if ob == b {
@@ -1273,36 +1348,23 @@ fn central_decode_stretch(
     if start_gate <= clock {
         return;
     }
+    if batch_full && partition_observable && book.victim_blocked_at(clock) {
+        return;
+    }
     let mut end_gate = f64::INFINITY;
     let mut cooldown = None;
-    let need_partition_e = batch_full && partition_needs_e;
-    let mut scaler_needs_e = false;
-    if let Some(sc) = scale {
-        let top = sc.active() as usize - 1;
-        let top_idle = states[top].running.is_empty();
-        if sc.would_fire(scaler_depth, top_idle) {
-            if sc.in_cooldown(clock) {
-                cooldown = Some(sc.cooldown_guard());
-            } else {
-                // Out of cooldown and armed: the very next round end
-                // fires a scale event. No stretch.
-                return;
-            }
+    let top = active - 1;
+    let top_idle = states[top].running.is_empty();
+    if scale.would_fire(scaler_depth, top_idle) {
+        if scale.in_cooldown(clock) {
+            cooldown = Some(scale.cooldown_guard());
         } else {
-            scaler_needs_e = true;
-        }
-    }
-    if need_partition_e || scaler_needs_e {
-        let e = next_ready_transition(clock, sorted_arrivals, victim_list, is_victim, ready);
-        if need_partition_e {
-            start_gate = start_gate.min(e);
-        }
-        if scaler_needs_e {
-            end_gate = e;
-        }
-        if start_gate <= clock {
+            // Out of cooldown and armed: the very next round end fires a
+            // scale event. No stretch.
             return;
         }
+    } else {
+        end_gate = book.transition(clock);
     }
     let horizon = StretchHorizon {
         start_gate_s: start_gate,
@@ -1318,75 +1380,84 @@ fn central_decode_stretch(
     }
 }
 
+/// The shared queue a central leapfrog gates on.
+enum LeapfrogQueue<'q, 'c> {
+    /// The FCFS / clock-ordered loop's: a member reaching its own gate
+    /// runs its round in place, unless skipped partitions are already
+    /// observable at entry (the full gate would move with every round).
+    Deque(&'q mut CentralRounds<'c>),
+    /// The keyed loop's: a member reaching its own gate ends the
+    /// leapfrog. Blocked victims always partition observably there.
+    Keyed {
+        book: &'q mut ReadyBook,
+        empty: bool,
+    },
+}
+
 /// The scale-free central fast-forward: every running blade joins one
 /// [`leapfrog_decode`] call that replays the skipped rounds in exact
 /// per-step order. Shared gate: an idle blade's next admission instant
-/// (it could win the blade race and mutate the queue). Per-member
-/// gates: the next queued ready time while a batch slot is open (an
-/// admission round), and — batch full, when skipped partitions are
-/// observable — the next ready-time transition, measured from the
-/// minimal member clock so it lower-bounds every member's own
-/// transition (a member already past it parks, conservatively).
-#[allow(clippy::too_many_arguments)]
+/// (it could win the blade race and mutate the queue). Member gates: the
+/// next queued ready time while a batch slot is open (an admission
+/// round). A full batch admits nothing, so its rounds matter only
+/// through the eligibility partition: when skipped partitions are
+/// observable and a queued victim is still blocked at the minimal member
+/// clock ([`ReadyBook::victim_blocked_at`]), full members are gated at
+/// once and run their rounds for real.
+///
+/// Returns the requests the leapfrog's in-place rounds served.
 fn central_leapfrog(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
-    queue_empty: bool,
-    next_ready: f64,
-    partition_needs_e: bool,
-    sorted_arrivals: &[f64],
-    victim_list: &[usize],
-    is_victim: &[bool],
-    ready: &[f64],
+    mut queue: LeapfrogQueue<'_, '_>,
     obs: &mut dyn SimObserver,
-) {
-    let max_batch = ctx.config.max_batch as usize;
-    let open_gate = if queue_empty {
-        f64::INFINITY
-    } else {
-        next_ready
+) -> u32 {
+    let (book, empty, observable) = match &mut queue {
+        LeapfrogQueue::Deque(c) => {
+            let observable = c.partition_observable();
+            (&mut c.book, c.queue.is_empty(), observable)
+        }
+        LeapfrogQueue::Keyed { book, empty } => {
+            let observable = book.victims_in_queue > 0;
+            (&mut **book, *empty, observable)
+        }
     };
-    let mut idle_gate = f64::INFINITY;
+    let next_ready = book.next_ready();
+    let open_s = if empty { f64::INFINITY } else { next_ready };
+    let max_batch = ctx.config.max_batch as usize;
+    let mut idle_clock = f64::INFINITY;
     let mut min_clock = f64::INFINITY;
     let mut any_full = false;
-    let mut members: Vec<LeapfrogMember> = Vec::with_capacity(states.len());
+    let mut members: Vec<usize> = Vec::with_capacity(states.len());
     for (b, s) in states.iter().enumerate() {
         if s.running.is_empty() {
-            if !queue_empty {
-                idle_gate = idle_gate.min(s.clock.max(next_ready));
-            }
+            idle_clock = idle_clock.min(s.clock);
             continue;
         }
         min_clock = min_clock.min(s.clock);
-        let full = s.running.len() >= max_batch;
-        any_full |= full;
-        // A full member's gate is the partition transition, patched
-        // below once the minimal member clock is known.
-        members.push(LeapfrogMember {
-            blade: b,
-            start_gate_s: if full { f64::INFINITY } else { open_gate },
-        });
+        any_full |= s.running.len() >= max_batch;
+        members.push(b);
     }
-    if members.is_empty() || idle_gate <= min_clock {
-        return;
+    if members.is_empty() || idle_clock.max(open_s) <= min_clock {
+        return 0;
     }
-    if any_full && partition_needs_e {
-        let e = next_ready_transition(min_clock, sorted_arrivals, victim_list, is_victim, ready);
-        for m in &mut members {
-            if states[m.blade].running.len() >= max_batch {
-                m.start_gate_s = e;
-            }
-        }
-    }
-    leapfrog_decode(
-        ctx,
-        trace,
-        states,
-        &members,
-        &StretchHorizon::until(idle_gate),
-        obs,
-    );
+    let full_s = if any_full && observable && book.victim_blocked_at(min_clock) {
+        min_clock
+    } else {
+        f64::INFINITY
+    };
+    let rounds: Option<&mut dyn MemberRounds> = match queue {
+        LeapfrogQueue::Deque(c) if !observable => Some(c),
+        _ => None,
+    };
+    let gates = LeapfrogGates {
+        shared_s: f64::INFINITY,
+        idle_clock_s: idle_clock,
+        open_s,
+        full_s,
+    };
+    leapfrog_decode(ctx, trace, states, &members, gates, rounds, obs)
 }
 
 /// Per-blade end states, per-request outcomes and the merged shedding
@@ -1410,8 +1481,10 @@ fn wedged(topology: &str, served: u32, requests: usize) -> OptimusError {
 /// # Errors
 ///
 /// [`OptimusError::Serving`] when the blades' served counts (completions
-/// plus sheds) do not add up to the trace length: a loop that ended
-/// early must not produce a report.
+/// plus sheds) do not add up to the trace length, or when a request the
+/// shedding gate did not drop lacks its first-token or completion stamp
+/// (tallies that add up over a double-counted completion): a loop that
+/// ended early must not produce a report.
 pub(crate) fn assemble(
     sim: &ServingSimulator<'_>,
     trace: &[RequestSpec],
@@ -1427,6 +1500,18 @@ pub(crate) fn assemble(
             reason: format!(
                 "replay ended with {served} of {} requests served",
                 trace.len()
+            ),
+        });
+    }
+    let unstamped = outcomes.iter().enumerate().find(|&(i, o)| {
+        !ctl.is_some_and(|c| c.is_shed(i))
+            && (o.first_token_s.is_none() || o.completion_s.is_none())
+    });
+    if let Some((i, _)) = unstamped {
+        return Err(OptimusError::Serving {
+            reason: format!(
+                "replay left request {} neither completed nor shed",
+                trace[i].id
             ),
         });
     }
@@ -1957,66 +2042,60 @@ fn run_disaggregated_event(
             // handoff delivery or victim re-stream, whose arrival
             // observably re-partitions the pool (handoff ready times
             // are not queue-ordered, so no policy earns the central
-            // loop's FCFS exemption). All gates are frozen across the
+            // loop's FCFS exemption), or at once when the partition
+            // already reorders the pool. All gates are frozen across the
             // leapfrog: nothing is admitted or evicted, and the prompt
             // queue only moves on prefill rounds.
             let queue_empty = decode_queue.is_empty();
             let next_ready = window.min(&in_decode, &ready).unwrap_or(f64::MAX);
-            let mut shared_gate = f64::INFINITY;
-            if let Some((tp, _)) = prefill_action {
-                shared_gate = tp;
-            }
             let max_batch = ctx.config.max_batch as usize;
-            let open_gate = if queue_empty {
-                f64::INFINITY
-            } else {
-                next_ready
+            let mut gates = LeapfrogGates {
+                shared_s: prefill_action.map_or(f64::INFINITY, |(tp, _)| tp),
+                idle_clock_s: f64::INFINITY,
+                open_s: if queue_empty {
+                    f64::INFINITY
+                } else {
+                    next_ready
+                },
+                full_s: f64::INFINITY,
             };
             let mut min_clock = f64::INFINITY;
             let mut any_full = false;
-            let mut members: Vec<LeapfrogMember> = Vec::with_capacity(decoders.len());
+            let mut members: Vec<usize> = Vec::with_capacity(decoders.len());
             for &ob in &decoders {
                 let s = &states[ob];
                 if s.running.is_empty() {
-                    if !queue_empty {
-                        shared_gate = shared_gate.min(s.clock.max(next_ready));
-                    }
+                    gates.idle_clock_s = gates.idle_clock_s.min(s.clock);
                     continue;
                 }
                 min_clock = min_clock.min(s.clock);
-                let full = s.running.len() >= max_batch;
-                any_full |= full;
-                // A full member's gate is the delivery transition,
-                // patched below once the minimal member clock is known.
-                members.push(LeapfrogMember {
-                    blade: ob,
-                    start_gate_s: if full { f64::INFINITY } else { open_gate },
-                });
+                any_full |= s.running.len() >= max_batch;
+                members.push(ob);
             }
-            if !members.is_empty() && shared_gate > min_clock {
+            if !members.is_empty() && gates.shared() > min_clock {
                 // The delivery transition is measured from the minimal
                 // member clock so it lower-bounds every member's own;
-                // a member already past it parks, conservatively.
+                // a member already past it parks, conservatively. Up to
+                // it the eligible set is frozen, so every skipped
+                // partition equals the one at the minimal clock, which
+                // moves nothing unless a blocked request sits ahead of
+                // an eligible one (deliveries from several prefill
+                // blades can queue out of ready order).
                 if any_full {
-                    let e = decode_queue
-                        .iter()
-                        .map(|&i| ready[i])
-                        .filter(|&t| t > min_clock)
-                        .fold(f64::INFINITY, f64::min);
-                    for m in &mut members {
-                        if states[m.blade].running.len() >= max_batch {
-                            m.start_gate_s = e;
+                    let mut blocked_ahead = false;
+                    let mut reorders = false;
+                    let mut transition = f64::INFINITY;
+                    for &i in &decode_queue {
+                        if ready[i] > min_clock {
+                            blocked_ahead = true;
+                            transition = transition.min(ready[i]);
+                        } else {
+                            reorders |= blocked_ahead;
                         }
                     }
+                    gates.full_s = if reorders { min_clock } else { transition };
                 }
-                leapfrog_decode(
-                    &ctx,
-                    trace,
-                    &mut states,
-                    &members,
-                    &StretchHorizon::until(shared_gate),
-                    obs,
-                );
+                leapfrog_decode(&ctx, trace, &mut states, &members, gates, None, obs);
             }
         }
     }
@@ -2400,5 +2479,34 @@ mod tests {
             matches!(&err, OptimusError::Serving { reason } if reason.contains("31 of 32")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn assemble_refuses_a_replay_with_an_unstamped_request() {
+        // The served tallies add up (a double-counted completion), yet
+        // one request has no outcome: an error, not a panic in
+        // `finalize`.
+        let (est, model, par) = cluster_parts();
+        let sim = mk_sim(&est, &model, &par, ServingConfig::unconstrained(4));
+        let trace = test_trace();
+        let mut outcomes = vec![Outcome::default(); trace.len()];
+        for (o, r) in outcomes.iter_mut().zip(&trace) {
+            o.first_token_s = Some(r.arrival_s + 1.0);
+            o.completion_s = Some(r.arrival_s + 2.0);
+        }
+        outcomes[5] = Outcome::default();
+        let mut states = vec![BladeState::new(0, 0.0, None), BladeState::new(1, 0.0, None)];
+        states[0].served = 20;
+        states[1].served = trace.len() as u32 - 20;
+        let roles = [BladeRole::Mixed; 2];
+        let err = assemble(&sim, &trace, &states, &outcomes, &roles, None, None).unwrap_err();
+        let id = trace[5].id;
+        assert!(
+            matches!(&err, OptimusError::Serving { reason } if reason.contains(&format!("request {id} "))),
+            "{err}"
+        );
+        // A first token without a completion is just as unfinished.
+        outcomes[5].first_token_s = Some(trace[5].arrival_s + 1.0);
+        assert!(assemble(&sim, &trace, &states, &outcomes, &roles, None, None).is_err());
     }
 }

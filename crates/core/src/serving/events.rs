@@ -872,25 +872,59 @@ impl DecodeStretch {
     }
 }
 
-/// One blade's membership in a cluster-wide leapfrog fast-forward: the
-/// blade index plus the member-specific round-start gate (own-admission
-/// and partition bounds; `f64::INFINITY` when only the shared horizon
-/// applies).
+/// The round-start gates of one [`leapfrog_decode`] call.
+///
+/// Shared gates stop the whole leapfrog when the `(clock, index)`-minimal
+/// member reaches them: `shared_s` (a fixed instant, such as the prefill
+/// tier's next action) and an idle blade's pickup, due at
+/// `max(idle_clock_s, open_s)`. Member gates hand the minimal member its
+/// own real round: `open_s` for a member with an open batch slot, `full_s`
+/// for one whose batch is full.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct LeapfrogMember {
-    pub(crate) blade: usize,
-    pub(crate) start_gate_s: f64,
+pub(crate) struct LeapfrogGates {
+    /// A fixed gate common to every round (`f64::INFINITY` when none).
+    pub(crate) shared_s: f64,
+    /// The earliest clock among idle blades that pick up from the
+    /// members' queue (`f64::INFINITY` when none is idle).
+    pub(crate) idle_clock_s: f64,
+    /// The next queued ready time (`f64::INFINITY` when the queue is
+    /// empty): a member with a free batch slot admits from there on.
+    pub(crate) open_s: f64,
+    /// Where a skipped round could re-partition the queue observably,
+    /// the earliest clock at which it would; else `f64::INFINITY`.
+    pub(crate) full_s: f64,
+}
+
+impl LeapfrogGates {
+    /// The shared gate: the fixed one or an idle blade's pickup. With an
+    /// empty queue `open_s` is infinite, so idle blades gate nothing.
+    pub(crate) fn shared(&self) -> f64 {
+        self.shared_s.min(self.idle_clock_s.max(self.open_s))
+    }
+}
+
+/// The owning loop's real round, run by [`leapfrog_decode`] in place of
+/// breaking out when the minimal member reaches its own gate or has no
+/// plan: with no shared gate due, that member's round is exactly the
+/// round the loop would run next.
+pub(crate) trait MemberRounds {
+    /// Runs `blade`'s next round and returns the requests it completed
+    /// or shed (the caller owns the served count).
+    fn run(&mut self, blade: &mut BladeState, obs: &mut dyn SimObserver) -> u32;
+    /// [`LeapfrogGates::open_s`] after that round, or `None` when the
+    /// round made skipped partitions observable (the leapfrog's full
+    /// gate no longer holds, so it exits).
+    fn open_gate(&mut self) -> Option<f64>;
 }
 
 /// One leapfrog member's hot state, packed so the per-iteration
 /// `(clock, blade)` argmin scans one small contiguous slice: the blade's
 /// clock and float accumulators (written back to its [`BladeState`]
-/// before each commit and at exit), its round-start gate, and its
+/// before each commit and at exit), whether its batch is full, and its
 /// current plan with the iterations advanced under it.
 #[derive(Debug, Clone, Copy)]
 struct Lane {
     clock: f64,
-    gate: f64,
     decode_time_s: f64,
     batch_time_weighted: f64,
     busy_s: f64,
@@ -898,14 +932,45 @@ struct Lane {
     done: u64,
     blade: usize,
     id: u32,
+    full: bool,
 }
 
 impl Lane {
-    fn write_back(&self, blade: &mut BladeState) {
+    fn new(b: usize, blade: &BladeState, plan: Option<DecodeStretch>, max_batch: usize) -> Self {
+        Self {
+            clock: blade.clock,
+            decode_time_s: blade.decode_time_s,
+            batch_time_weighted: blade.batch_time_weighted,
+            busy_s: blade.busy_s,
+            plan,
+            done: 0,
+            blade: b,
+            id: blade.id,
+            full: blade.running.len() >= max_batch,
+        }
+    }
+
+    /// Writes the lane back to `blade` and commits the iterations
+    /// advanced under its plan (one `on_stretch` summary for a passive
+    /// observer).
+    fn settle(&self, blade: &mut BladeState, obs: &mut dyn SimObserver) {
         blade.clock = self.clock;
         blade.decode_time_s = self.decode_time_s;
         blade.batch_time_weighted = self.batch_time_weighted;
         blade.busy_s = self.busy_s;
+        if let Some(plan) = self.plan {
+            plan.commit(blade, self.done);
+            if obs.is_passive() && self.done > 0 {
+                obs.on_stretch(
+                    self.id,
+                    self.clock,
+                    self.done,
+                    plan.cost,
+                    plan.batch,
+                    plan.kv_end(self.done),
+                );
+            }
+        }
     }
 }
 
@@ -942,18 +1007,28 @@ fn cached_or_fresh_plan(
 /// holds even though many rounds across many blades are batched into
 /// one call.
 ///
-/// Gate discipline: the shared `horizon` carries gates common to every
-/// round (idle-blade actions, prefill-tier actions, autoscaler end
-/// gates), while each member's `start_gate_s` carries its own
-/// round-start bounds. Because members are advanced in global round
-/// order, the first gated round in that order breaks the whole loop —
-/// rounds processed before it genuinely preceded it.
+/// Gate discipline (see [`LeapfrogGates`]): shared gates cover actions
+/// of blades outside the leapfrog, member gates a member's own
+/// admission and partition bounds. Members are advanced in global round
+/// order, so the first gated round in that order is the cluster's next
+/// action — rounds processed before it genuinely preceded it. A shared
+/// gate always ends the leapfrog.
 ///
 /// A member whose plan is exhausted mid-loop commits its bookkeeping
 /// and re-plans in place (a bucket crossing just changes the constant
-/// cost); when no new plan exists (completion, KV or admission event
-/// next) the member parks at its clock and breaks the loop once it
-/// becomes minimal — its real round is the cluster's next action.
+/// cost). When the minimal member reaches its own gate or has no plan
+/// (completion, KV or admission event next), its real round comes next:
+///
+/// - Without `rounds`, the leapfrog exits and the owning loop runs it.
+/// - With `rounds`, the leapfrog commits the member's advanced
+///   iterations, runs the round through [`MemberRounds::run`], and goes
+///   on: the member is refreshed from its blade (and re-planned, lazily,
+///   once the leapfrog is known to continue) or retired if its batch
+///   emptied, its clock joining the idle ones. Only the open gate moves
+///   with the queue; a round after which it cannot be tracked exits.
+///
+/// Returns the requests the in-place rounds completed or shed; the
+/// caller adds them to its served count.
 ///
 /// Members must be listed in ascending blade order, so a strict
 /// `total_cmp` minimum over the lanes keeps the blade-index tie-break.
@@ -965,34 +1040,28 @@ pub(crate) fn leapfrog_decode(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
-    members: &[LeapfrogMember],
-    horizon: &StretchHorizon,
+    members: &[usize],
+    mut gates: LeapfrogGates,
+    mut rounds: Option<&mut dyn MemberRounds>,
     obs: &mut dyn SimObserver,
-) {
+) -> u32 {
     let _span = profile::span(profile::Phase::Leapfrog);
-    debug_assert!(members.windows(2).all(|w| w[0].blade < w[1].blade));
+    debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
     let passive = obs.is_passive();
+    let max_batch = ctx.config.max_batch as usize;
     let mut lanes: Vec<Lane> = members
         .iter()
-        .map(|m| {
-            let blade = &mut states[m.blade];
-            Lane {
-                clock: blade.clock,
-                gate: m.start_gate_s,
-                decode_time_s: blade.decode_time_s,
-                batch_time_weighted: blade.batch_time_weighted,
-                busy_s: blade.busy_s,
-                plan: cached_or_fresh_plan(ctx, trace, blade),
-                done: 0,
-                blade: m.blade,
-                id: blade.id,
-            }
+        .map(|&b| {
+            let blade = &mut states[b];
+            let plan = cached_or_fresh_plan(ctx, trace, blade);
+            Lane::new(b, blade, plan, max_batch)
         })
         .collect();
-    if lanes.is_empty() {
-        return;
-    }
-    loop {
+    let mut shared = gates.shared();
+    let mut served = 0u32;
+    // The lane an in-place round refreshed, still awaiting its plan.
+    let mut unplanned: Option<usize> = None;
+    while !lanes.is_empty() {
         let mut i = 0;
         let mut clock = lanes[0].clock;
         for (j, lane) in lanes.iter().enumerate().skip(1) {
@@ -1001,23 +1070,45 @@ pub(crate) fn leapfrog_decode(
                 clock = lane.clock;
             }
         }
+        if shared <= clock {
+            break;
+        }
+        if let Some(u) = unplanned.take() {
+            lanes[u].plan = DecodeStretch::plan(ctx, trace, &states[lanes[u].blade]);
+        }
         let lane = &mut lanes[i];
-        if horizon.start_gate_s <= clock || lane.gate <= clock {
-            break;
-        }
-        let Some(plan) = lane.plan else { break };
-        let next = clock + plan.cost;
-        if next >= horizon.end_gate_s {
-            break;
-        }
-        if let Some((last, cd)) = horizon.cooldown {
-            // As in the per-blade stretch: advance only while the
-            // autoscaler stays in cooldown (NaN parks).
-            let in_cooldown = next - last < cd;
-            if !in_cooldown {
-                break;
+        let gate = if lane.full {
+            gates.full_s
+        } else {
+            gates.open_s
+        };
+        let gated = gate <= clock;
+        let plan = match lane.plan {
+            Some(plan) if !gated => plan,
+            _ => {
+                // The member's own round is the cluster's next action
+                // (`clock < shared` also rules out NaN clocks).
+                let Some(r) = rounds.as_deref_mut().filter(|_| clock < shared) else {
+                    break;
+                };
+                let b = lane.blade;
+                let blade = &mut states[b];
+                lane.settle(blade, obs);
+                served += r.run(blade, obs);
+                if blade.running.is_empty() {
+                    gates.idle_clock_s = gates.idle_clock_s.min(blade.clock);
+                    lanes.remove(i);
+                } else {
+                    *lane = Lane::new(b, blade, None, max_batch);
+                    unplanned = Some(i);
+                }
+                let Some(open) = r.open_gate() else { break };
+                gates.open_s = open;
+                shared = gates.shared();
+                continue;
             }
-        }
+        };
+        let next = clock + plan.cost;
         lane.decode_time_s += plan.cost;
         lane.batch_time_weighted += plan.cost * f64::from(plan.batch);
         lane.busy_s += plan.cost;
@@ -1036,40 +1127,21 @@ pub(crate) fn leapfrog_decode(
         lane.done += 1;
         if lane.done == plan.max_iters {
             let blade = &mut states[lane.blade];
-            lane.write_back(blade);
-            plan.commit(blade, lane.done);
-            if passive {
-                obs.on_stretch(
-                    lane.id,
-                    next,
-                    lane.done,
-                    plan.cost,
-                    plan.batch,
-                    plan.kv_end(lane.done),
-                );
-            }
+            lane.settle(blade, obs);
             lane.plan = DecodeStretch::plan(ctx, trace, blade);
             lane.done = 0;
         }
     }
-    for lane in &lanes {
+    for (k, lane) in lanes.iter().enumerate() {
         let blade = &mut states[lane.blade];
-        lane.write_back(blade);
-        if let Some(plan) = lane.plan {
-            plan.commit(blade, lane.done);
-            if passive && lane.done > 0 {
-                obs.on_stretch(
-                    lane.id,
-                    lane.clock,
-                    lane.done,
-                    plan.cost,
-                    plan.batch,
-                    plan.kv_end(lane.done),
-                );
-            }
+        lane.settle(blade, obs);
+        // A lane left unplanned keeps the blade's slot empty: the next
+        // leapfrog plans it, as it would after a round run outside.
+        if unplanned != Some(k) {
+            blade.cached_plan = Some(lane.plan.map(|p| p.rebased(lane.done)));
         }
-        blade.cached_plan = Some(lane.plan.map(|p| p.rebased(lane.done)));
     }
+    served
 }
 
 #[cfg(test)]

@@ -1356,8 +1356,10 @@ pub mod profile {
     //! per site until [`start`] arms it. Captures are process-global:
     //! concurrent replays accumulate into the same counters, so scope a
     //! [`start`]/[`stop`] pair around the one replay you mean to
-    //! profile. Phases nest (leapfrog replay plans stretches inside),
-    //! so phase times overlap and do not sum to wall time.
+    //! profile. Phases nest: a leapfrog replay plans stretches inside,
+    //! and in the central loop it also runs the members' own engine
+    //! rounds in place, admission scans included. Phase times therefore
+    //! overlap and do not sum to wall time.
 
     use serde::{Deserialize, Serialize};
 
@@ -1371,10 +1373,13 @@ pub mod profile {
         pub stretch_plans: u64,
         /// Wall-clock seconds spent planning stretches.
         pub stretch_plan_s: f64,
-        /// Cluster-wide leapfrog replays.
+        /// Cluster-wide leapfrog replays, counted once per entry: a
+        /// leapfrog that runs members' rounds in place is still one.
         pub leapfrogs: u64,
-        /// Wall-clock seconds inside leapfrog replays (includes the
-        /// stretch planning they nest).
+        /// Wall-clock seconds inside leapfrog replays. Includes the
+        /// stretch planning they nest and the member rounds they run in
+        /// place, so the admission scans of those rounds count here as
+        /// well as in `admission_s`.
         pub leapfrog_s: f64,
         /// Admission rounds (engine-iteration admission scans).
         pub admission_rounds: u64,

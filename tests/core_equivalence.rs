@@ -623,22 +623,12 @@ fn ordered_observer_logs_are_identical_between_cores() {
             .unconstrained_kv()
             .poisson(trace)
     };
-    fn check<'a>(label: &str, build: &dyn Fn() -> Scenario<'a>, decoders: &[u32]) {
-        let run = |core: SimCore| {
-            let compiled = build().core(core).compile().unwrap();
-            let mut observer = RecordingObserver::default();
-            let report = compiled.run_observed(&mut observer).unwrap();
-            (report, observer.log)
-        };
-        let (event_report, event_log) = run(SimCore::EventDriven);
-        let (step_report, step_log) = run(SimCore::PerStep);
+    fn check<'a>(label: &str, build: &dyn Fn() -> Scenario<'a>, decoders: &[u32]) -> ClusterReport {
+        let (event_report, event_log) = recorded(build, SimCore::EventDriven);
+        let (step_report, step_log) = recorded(build, SimCore::PerStep);
         assert_eq!(event_report, step_report, "{label}: reports");
-        assert_eq!(event_log.len(), step_log.len(), "{label}: log lengths");
-        if let Some(at) = (0..event_log.len()).find(|&i| event_log[i] != step_log[i]) {
-            panic!(
-                "{label}: logs diverge at call {at}: event {:?} vs per-step {:?}",
-                event_log[at], step_log[at]
-            );
+        if let Some(at) = first_divergence(&event_log, &step_log) {
+            panic!("{label}: logs diverge at call {at}");
         }
         for &b in decoders {
             assert!(
@@ -647,6 +637,7 @@ fn ordered_observer_logs_are_identical_between_cores() {
             );
         }
         assert!(event_log.iter().all(|c| c.0 != "stretch"), "{label}");
+        event_report
     }
     check(
         "central, 8 mixed blades",
@@ -662,6 +653,109 @@ fn ordered_observer_logs_are_identical_between_cores() {
         &|| base().topology(Topology::disaggregated(2, 2)),
         &[2, 3],
     );
+    // Room for about 1.7 worst-case requests per blade: rounds evict,
+    // and FCFS victims queued in the shared queue end the leapfrog.
+    let tight = per_token_bytes(&system, &model) * f64::from(256 + 64) * 1.7;
+    let r = check(
+        "central, tight KV",
+        &|| {
+            base()
+                .topology(Topology::mixed(4))
+                .dispatch(DispatchMode::Central)
+                .kv_capacity_bytes(tight)
+        },
+        &[0, 1, 2, 3],
+    );
+    assert!(r.report.evictions > 0, "pressure must preempt");
+}
+
+#[test]
+fn full_batches_never_skip_a_reordering_partition() {
+    // A full batch admits nothing, but its round still runs the
+    // eligibility partition, which demotes blocked requests behind
+    // eligible ones for good. Two queues where that partition moves
+    // something while a full member would otherwise stretch past it:
+    // a central FCFS victim re-queued at the front ahead of arrived
+    // requests, and deliveries from two prefill blades queued out of
+    // ready order.
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let per_token = per_token_bytes(&system, &model);
+    // (arrival in 1/4096 s, prompt tokens, output tokens)
+    let trace = |specs: &[(u32, u32, u32)]| -> Vec<RequestSpec> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, prompt, output))| {
+                RequestSpec::new(i as u32, f64::from(at) / 4096.0, prompt, output)
+            })
+            .collect()
+    };
+    #[rustfmt::skip]
+    let central = trace(&[
+        (2, 65, 21), (2, 22, 47), (6, 55, 21), (8, 45, 16), (9, 87, 25), (10, 61, 42),
+        (13, 88, 44), (14, 189, 15), (17, 204, 5), (18, 238, 6), (19, 20, 26), (20, 258, 13),
+        (24, 197, 42), (25, 162, 19), (26, 157, 5), (28, 228, 32), (28, 44, 37), (29, 38, 45),
+        (32, 70, 41), (34, 219, 17), (38, 183, 2), (39, 10, 38), (41, 109, 5), (41, 78, 8),
+        (42, 239, 6), (42, 102, 28), (42, 73, 14), (44, 212, 13), (46, 179, 24), (47, 199, 20),
+        (47, 247, 9), (48, 158, 39), (50, 204, 32), (51, 38, 9), (55, 49, 44), (56, 162, 2),
+        (56, 176, 37), (57, 41, 6), (60, 176, 21),
+    ]);
+    #[rustfmt::skip]
+    let disaggregated = trace(&[
+        (0, 106, 3), (0, 256, 31), (1, 257, 13), (1, 59, 12), (2, 41, 5), (3, 138, 42),
+        (4, 132, 25), (5, 35, 20), (6, 105, 12), (6, 130, 39), (8, 123, 35), (9, 146, 39),
+        (11, 46, 22), (12, 26, 11), (14, 110, 16), (14, 15, 2), (19, 20, 14), (20, 98, 34),
+        (22, 43, 29), (27, 215, 45), (30, 42, 19), (32, 77, 31), (39, 120, 9), (42, 106, 45),
+        (45, 180, 27), (50, 46, 13), (52, 182, 39), (53, 161, 9), (55, 178, 14), (55, 111, 18),
+        (59, 225, 21), (62, 235, 6), (62, 218, 47), (63, 46, 28), (63, 198, 39), (63, 23, 13),
+    ]);
+    let base = |requests: &Vec<RequestSpec>| {
+        Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(5)
+            .requests(requests.clone())
+    };
+    fn agree<'a>(label: &str, build: &dyn Fn() -> Scenario<'a>) {
+        let (event, event_log) = recorded(build, SimCore::EventDriven);
+        let (per_step, step_log) = recorded(build, SimCore::PerStep);
+        assert_eq!(event, per_step, "{label}: reports");
+        assert_eq!(first_divergence(&event_log, &step_log), None, "{label}");
+    }
+    agree("central victim ahead of arrivals", &|| {
+        base(&central)
+            .topology(Topology::mixed(2))
+            .dispatch(DispatchMode::Central)
+            .kv_capacity_bytes(per_token * 384.0 * 1.7)
+    });
+    agree("deliveries out of ready order", &|| {
+        base(&disaggregated)
+            .topology(Topology::disaggregated(2, 2))
+            .unconstrained_kv()
+    });
+}
+
+/// Replays `build()` on `core` with a [`RecordingObserver`] attached.
+fn recorded<'a>(build: &dyn Fn() -> Scenario<'a>, core: SimCore) -> (ClusterReport, Vec<Call>) {
+    let compiled = build().core(core).compile().unwrap();
+    let mut observer = RecordingObserver::default();
+    let report = compiled.run_observed(&mut observer).unwrap();
+    (report, observer.log)
+}
+
+/// The index of the first call where two logs differ (a length mismatch
+/// counts at the shorter log's end), printing both calls; `None` when
+/// they are identical.
+fn first_divergence(event: &[Call], step: &[Call]) -> Option<usize> {
+    let at = (0..event.len().max(step.len())).find(|&i| event.get(i) != step.get(i))?;
+    eprintln!(
+        "logs diverge at call {at}: event {:?} vs per-step {:?}",
+        event.get(at),
+        step.get(at)
+    );
+    Some(at)
 }
 
 fn arb_trace() -> impl Strategy<Value = Vec<RequestSpec>> {
@@ -680,6 +774,94 @@ fn arb_trace() -> impl Strategy<Value = Vec<RequestSpec>> {
             })
             .collect()
     })
+}
+
+/// A random sorted trace for the central-dispatch log proptest: up to
+/// 40 requests on a dyadic arrival grid whose spacing ranges from
+/// sparse (blades drain and idle between arrivals) to dense (every
+/// blade busy, the queue backed up), so leapfrogs see members retire,
+/// idle blades pick up and full batches alike.
+fn arb_central_trace() -> impl Strategy<Value = Vec<RequestSpec>> {
+    (
+        prop::collection::vec((0u32..64, 8u32..260, 1u32..48), 4..40),
+        0i32..3,
+    )
+        .prop_map(|(specs, density)| {
+            let tick = 2f64.powi(-4 - 4 * density);
+            let mut arrivals: Vec<f64> =
+                specs.iter().map(|&(a, _, _)| f64::from(a) * tick).collect();
+            arrivals.sort_by(f64::total_cmp);
+            specs
+                .iter()
+                .zip(&arrivals)
+                .enumerate()
+                .map(|(i, (&(_, prompt, output), &arrival))| {
+                    RequestSpec::new(i as u32, arrival, prompt, output)
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random central-dispatch scenarios — 1–8 mixed blades, max batch
+    /// 1–6, unconstrained or evicting KV, FCFS or a clock-ordered policy,
+    /// the shedding gate on or off — replayed with a recording observer:
+    /// the event core's leapfrog, with its in-place rounds, retiring
+    /// members, victim exits and idle-blade pickups, reproduces the
+    /// per-step core's callback log call by call.
+    #[test]
+    fn central_observer_logs_agree_on_random_scenarios(
+        trace in arb_central_trace(),
+        blades in 1u32..9,
+        max_batch in 1u32..7,
+        kv in 0usize..3,
+        guard in any::<bool>(),
+        shed in any::<bool>(),
+    ) {
+        let system = MultiBladeSystem::new(4).unwrap();
+        let model = ModelZoo::llama2_7b();
+        let par = Parallelism::new(1, 1, 1).unwrap();
+        let per_token = per_token_bytes(&system, &model);
+        let build = || {
+            let mut s = Scenario::new(&system)
+                .model(&model)
+                .parallelism(&par)
+                .max_batch(max_batch)
+                .topology(Topology::mixed(blades))
+                .dispatch(DispatchMode::Central)
+                .requests(trace.clone());
+            // Room for ~1.7 or ~1.2 worst-case requests: eviction churn,
+            // and with it victims re-queued in the shared queue.
+            s = match kv {
+                0 => s.unconstrained_kv(),
+                1 => s.kv_capacity_bytes(per_token * 384.0 * 1.7),
+                _ => s.kv_capacity_bytes(per_token * 384.0 * 1.2),
+            };
+            if guard {
+                s = s.policy(MaxWaitGuardPolicy::new(0.25));
+            }
+            if shed {
+                s = s
+                    .slo_classes(vec![
+                        SloClass::new("strict", 0.05, 0.005).with_weight(2.0),
+                        SloClass::batch(),
+                    ])
+                    .classify(|r| u32::from(r.prompt_tokens > 128))
+                    .control(ControlPlane::new().shed(AdmissionControl::new(0, 0.9)));
+            }
+            s
+        };
+        let (event, event_log) = recorded(&build, SimCore::EventDriven);
+        let (per_step, step_log) = recorded(&build, SimCore::PerStep);
+        prop_assert_eq!(&event, &per_step);
+        prop_assert_eq!(first_divergence(&event_log, &step_log), None);
+        prop_assert_eq!(
+            u64::from(event.report.completed) + event.report.shed_requests,
+            trace.len() as u64
+        );
+    }
 }
 
 proptest! {
