@@ -23,8 +23,8 @@ use super::engine::{
     finalize, BladeState, CostTable, Outcome, ReplayTotals, ServingSimulator, SimCore,
 };
 use super::events::{
-    leapfrog_decode, CentralKeyedQueue, DecodeStretch, LeapfrogGates, MemberRounds, ReadyWindow,
-    StretchHorizon, TrackedQueue,
+    leapfrog_decode, AdmissionQueue, CentralKeyedQueue, DecodeStretch, LeapfrogGates, MemberRounds,
+    ReadyWindow, SchedQueue, StretchHorizon, TrackedQueue,
 };
 use super::observer::{NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -782,7 +782,7 @@ impl<'a> ClusterSimulator<'a> {
             // could admit. Under an autoscaler only the active prefix of
             // the blade pool competes.
             let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let Some((at, b)) = next_blade(&states[..active], queue.is_empty(), next_ready) else {
+            let Some((at, b)) = next_blade(&states, 0..active, queue.is_empty(), next_ready) else {
                 return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
@@ -841,7 +841,7 @@ impl<'a> ClusterSimulator<'a> {
     /// pure-decode futures: with an autoscaler, the stepped blade alone
     /// ([`central_decode_stretch`]); without one, every running blade in
     /// one [`leapfrog_decode`] that also runs the members' own rounds in
-    /// place through [`CentralRounds::round`], the body this loop runs.
+    /// place through [`PoolRounds::round`], the body this loop runs.
     /// The leapfrog returns the requests those rounds completed or shed
     /// and this loop adds them to `served`. Control comes back here only
     /// when an idle blade's pickup is due, or when a round leaves FCFS
@@ -857,7 +857,7 @@ impl<'a> ClusterSimulator<'a> {
         let blades = cluster.blades as usize;
         let ctx = self.sim.ctx(table);
         let queue = ServingSimulator::arrival_queue(trace);
-        let mut central = CentralRounds {
+        let mut central = PoolRounds {
             ctx: &ctx,
             trace,
             fcfs: self.sim.policy().ordering() == OrderingContract::Fcfs,
@@ -866,6 +866,7 @@ impl<'a> ClusterSimulator<'a> {
             victims: Vec::new(),
             outcomes: vec![Outcome::default(); trace.len()],
             ctl: self.sim.control_state(trace.len()),
+            restream: None,
         };
         let mut states: Vec<BladeState> = (0..blades)
             .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
@@ -874,7 +875,8 @@ impl<'a> ClusterSimulator<'a> {
         while served < trace.len() as u32 {
             let next_ready = central.book.next_ready();
             let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let Some((at, b)) = next_blade(&states[..active], central.queue.is_empty(), next_ready)
+            let Some((at, b)) =
+                next_blade(&states, 0..active, central.queue.is_empty(), next_ready)
             else {
                 return Err(wedged("central", served, trace.len()));
             };
@@ -882,7 +884,7 @@ impl<'a> ClusterSimulator<'a> {
             if blade.running.is_empty() {
                 blade.clock = blade.clock.max(at);
             }
-            served += central.round(blade, obs);
+            served += central.round(blade, None, obs);
             if let Some(sc) = scale.as_deref_mut() {
                 let now = states[b].clock;
                 let ready = &central.book.ready;
@@ -962,7 +964,7 @@ impl<'a> ClusterSimulator<'a> {
         while served < trace.len() as u32 {
             let next_ready = book.next_ready();
             let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let Some((at, b)) = next_blade(&states[..active], queue.is_empty(), next_ready) else {
+            let Some((at, b)) = next_blade(&states, 0..active, queue.is_empty(), next_ready) else {
                 return Err(wedged("central", served, trace.len()));
             };
             let blade = &mut states[b];
@@ -988,7 +990,8 @@ impl<'a> ClusterSimulator<'a> {
                 ctl.as_mut(),
                 obs,
             );
-            book.record_round(&queue.admitted, &victims, states[b].clock);
+            let at = states[b].clock;
+            book.record_round(&queue.admitted, &victims, |_| at);
             queue.admitted.clear();
             queue.restore_blocked();
             // Any ordering policy may run here (this loop serves
@@ -1025,17 +1028,23 @@ impl<'a> ClusterSimulator<'a> {
     }
 }
 
-/// The central loops' next-action pick: the blade whose next useful
-/// action comes earliest — its own clock when it has running work, else
-/// the instant the shared queue (earliest ready time `next_ready`) could
-/// hand it an admission — with ties broken by blade index. `None` when
-/// no blade can act. Under an autoscaler callers pass only the active
-/// prefix of the blade pool.
-fn next_blade(states: &[BladeState], queue_empty: bool, next_ready: f64) -> Option<(f64, usize)> {
-    states
-        .iter()
-        .enumerate()
-        .filter_map(|(b, s)| {
+/// A shared-queue pool's next-action pick among `blades` (ascending):
+/// the blade whose next useful action comes earliest — its own clock
+/// when it has running work, else the instant the shared queue (earliest
+/// ready time `next_ready`) could hand it an admission — with ties broken
+/// by blade index. `None` when no blade can act. Under an autoscaler the
+/// central loops pass only the active prefix of the blade pool; the
+/// disaggregated loops pass the decoders.
+fn next_blade(
+    states: &[BladeState],
+    blades: impl IntoIterator<Item = usize>,
+    queue_empty: bool,
+    next_ready: f64,
+) -> Option<(f64, usize)> {
+    blades
+        .into_iter()
+        .filter_map(|b| {
+            let s = &states[b];
             if !s.running.is_empty() {
                 Some((s.clock, b))
             } else if !queue_empty {
@@ -1047,14 +1056,14 @@ fn next_blade(states: &[BladeState], queue_empty: bool, next_ready: f64) -> Opti
         .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
 }
 
-/// Ready-time bookkeeping for a central event loop's shared queue: when
-/// each request may (re-)enter a batch, which requests are queued, which
-/// queued ones are preemption victims, and a lazy window over the queued
-/// ready times.
+/// Ready-time bookkeeping for a pool's shared queue: when each request
+/// may (re-)enter a batch, which requests are queued, which queued ones
+/// are preemption victims, and a lazy window over the queued ready times.
 struct ReadyBook {
-    /// Arrival for fresh requests, the evicting round's end for victims:
-    /// a victim's KV is not free (nor the decision known elsewhere) any
-    /// earlier.
+    /// Central pools: arrival for fresh requests, the evicting round's
+    /// end for victims (a victim's KV is not free, nor the decision known
+    /// elsewhere, any earlier). Disaggregated decode pools: the handoff's
+    /// delivery, and for victims the end of the KV's re-stream.
     ready: Vec<f64>,
     in_queue: Vec<bool>,
     is_victim: Vec<bool>,
@@ -1062,7 +1071,8 @@ struct ReadyBook {
     /// The queued victims, plus stale entries compacted as they pile up.
     victim_list: Vec<usize>,
     /// The trace's arrival instants in ascending order: the axis
-    /// [`Self::transition`] binary-searches.
+    /// [`Self::transition`] binary-searches (central pools only; the
+    /// autoscaler path is its one caller).
     sorted_arrivals: Vec<f64>,
     window: ReadyWindow,
 }
@@ -1071,21 +1081,33 @@ impl ReadyBook {
     /// Every request queued at its arrival; `arrival_order` is the trace
     /// sorted by arrival ([`ServingSimulator::arrival_queue`]).
     fn new(trace: &[RequestSpec], arrival_order: &VecDeque<usize>) -> Self {
-        let ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-        let sorted_arrivals = arrival_order.iter().map(|&i| ready[i]).collect();
-        let mut window = ReadyWindow::new();
+        let mut book = Self::empty(trace);
         for &i in arrival_order {
-            window.push(ready[i], i);
+            book.push(i, trace[i].arrival_s);
         }
+        book.sorted_arrivals = arrival_order.iter().map(|&i| trace[i].arrival_s).collect();
+        book
+    }
+
+    /// Nothing queued: a disaggregated decode pool's book, filled as the
+    /// prefill tier hands requests off.
+    fn empty(trace: &[RequestSpec]) -> Self {
         Self {
-            in_queue: vec![true; trace.len()],
+            ready: trace.iter().map(|r| r.arrival_s).collect(),
+            in_queue: vec![false; trace.len()],
             is_victim: vec![false; trace.len()],
             victims_in_queue: 0,
             victim_list: Vec::new(),
-            sorted_arrivals,
-            window,
-            ready,
+            sorted_arrivals: Vec::new(),
+            window: ReadyWindow::new(),
         }
+    }
+
+    /// Queues fresh request `idx`, ready at `at`.
+    fn push(&mut self, idx: usize, at: f64) {
+        self.ready[idx] = at;
+        self.in_queue[idx] = true;
+        self.window.push(at, idx);
     }
 
     /// The earliest queued ready time (`f64::MAX` when nothing is queued).
@@ -1096,10 +1118,15 @@ impl ReadyBook {
     }
 
     /// Records one round: the requests it took off the queue (admitted
-    /// or shed) leave it before the round's victims re-enter it, ready at
-    /// the round's end `at` — an admit-then-evict round must end with the
-    /// victim counted back in.
-    fn record_round(&mut self, taken: &[usize], victims: &[usize], at: f64) {
+    /// or shed) leave it before the round's victims re-enter it, each
+    /// ready at `ready_at(victim)` — an admit-then-evict round must end
+    /// with the victim counted back in.
+    fn record_round(
+        &mut self,
+        taken: &[usize],
+        victims: &[usize],
+        ready_at: impl Fn(usize) -> f64,
+    ) {
         for &i in taken {
             self.in_queue[i] = false;
             if self.is_victim[i] {
@@ -1108,6 +1135,7 @@ impl ReadyBook {
             }
         }
         for &v in victims {
+            let at = ready_at(v);
             self.ready[v] = at;
             self.in_queue[v] = true;
             if !self.is_victim[v] {
@@ -1161,9 +1189,10 @@ impl ReadyBook {
     }
 }
 
-/// The shared queue of the FCFS / clock-ordered central event loop and
-/// the one round body that loop and its leapfrog both run.
-struct CentralRounds<'c> {
+/// A blade pool's shared queue and the one round body its event loop and
+/// that loop's leapfrog both run: the FCFS / clock-ordered central loop's
+/// blades, or a disaggregated loop's decode pool (`restream` set).
+struct PoolRounds<'c> {
     ctx: &'c EngineCtx<'c>,
     trace: &'c [RequestSpec],
     /// Whether the policy keeps arrival order (no per-round re-sort).
@@ -1174,15 +1203,24 @@ struct CentralRounds<'c> {
     victims: Vec<usize>,
     outcomes: Vec<Outcome>,
     ctl: Option<ControlState>,
+    /// A disaggregated decode pool's link: a victim's KV re-streams from
+    /// the prefill tier over it before the victim is ready again.
+    restream: Option<&'c HandoffLink>,
 }
 
-impl CentralRounds<'_> {
+impl PoolRounds<'_> {
     /// Runs `blade`'s round at its current clock: re-sort the queue for a
     /// clock-ordered policy, partition it so requests not yet ready go
     /// behind ready ones, step the engine (victims re-queued, shedding
-    /// gate applied) and record the round's queue changes. Returns the
-    /// requests it completed or shed.
-    fn round(&mut self, blade: &mut BladeState, obs: &mut dyn SimObserver) -> u32 {
+    /// gate applied, `prefilled` requests admitted straight to decode)
+    /// and record the round's queue changes. Returns the requests it
+    /// completed or shed.
+    fn round(
+        &mut self,
+        blade: &mut BladeState,
+        prefilled: Option<&[bool]>,
+        obs: &mut dyn SimObserver,
+    ) -> u32 {
         let clock = blade.clock;
         if !self.fcfs {
             self.ctx
@@ -1190,10 +1228,11 @@ impl CentralRounds<'_> {
                 .order_queue(clock, self.trace, &mut self.queue);
         }
         // The eligibility partition is the identity when no victim
-        // re-entry times disturb the FCFS arrival order, when every
+        // re-entry times disturb the FCFS arrival order (central pools
+        // only: handoff ready times are not queue-ordered), when every
         // member is already eligible, or when none is.
         let book = &mut self.book;
-        let skip_partition = (self.fcfs && book.victims_in_queue == 0)
+        let skip_partition = (self.fcfs && self.restream.is_none() && book.victims_in_queue == 0)
             || book
                 .window
                 .max(&book.in_queue, &book.ready)
@@ -1219,38 +1258,47 @@ impl CentralRounds<'_> {
             blade,
             &mut self.outcomes,
             Some(&mut self.victims),
-            None,
+            prefilled,
             self.ctl.as_mut(),
             obs,
         );
-        book.record_round(&tracked.admitted, &self.victims, blade.clock);
+        let at = blade.clock;
+        book.record_round(&tracked.admitted, &self.victims, |v| {
+            self.restream
+                .map_or(at, |link| at + kv_stream_s(self.ctx, link, &self.trace[v]))
+        });
         served
     }
 
-    /// Whether skipped rounds would re-partition the queue observably:
-    /// FCFS rounds with victims queued. Clock-ordered policies re-sort
-    /// from scratch each round, erasing any skipped partition (their
-    /// history-independence contract), and StaticKey policies use the
-    /// keyed loop.
+    /// [`LeapfrogGates::open_s`]: the next queued ready time, infinite
+    /// with the queue empty.
+    fn open_s(&mut self) -> f64 {
+        let next_ready = self.book.next_ready();
+        if self.queue.is_empty() {
+            f64::INFINITY
+        } else {
+            next_ready
+        }
+    }
+
+    /// Whether skipped rounds of a central pool would re-partition the
+    /// queue observably: FCFS rounds with victims queued. Clock-ordered
+    /// policies re-sort from scratch each round, erasing any skipped
+    /// partition (their history-independence contract), and StaticKey
+    /// policies use the keyed loop.
     fn partition_observable(&self) -> bool {
         self.fcfs && self.book.victims_in_queue > 0
     }
 }
 
-impl MemberRounds for CentralRounds<'_> {
+impl MemberRounds for PoolRounds<'_> {
     fn run(&mut self, blade: &mut BladeState, obs: &mut dyn SimObserver) -> u32 {
-        self.round(blade, obs)
+        self.round(blade, None, obs)
     }
 
     fn open_gate(&mut self) -> Option<f64> {
-        let next_ready = self.book.next_ready();
-        if self.partition_observable() {
-            None
-        } else if self.queue.is_empty() {
-            Some(f64::INFINITY)
-        } else {
-            Some(next_ready)
-        }
+        let open = self.open_s();
+        (!self.partition_observable()).then_some(open)
     }
 }
 
@@ -1385,7 +1433,7 @@ enum LeapfrogQueue<'q, 'c> {
     /// The FCFS / clock-ordered loop's: a member reaching its own gate
     /// runs its round in place, unless skipped partitions are already
     /// observable at entry (the full gate would move with every round).
-    Deque(&'q mut CentralRounds<'c>),
+    Deque(&'q mut PoolRounds<'c>),
     /// The keyed loop's: a member reaching its own gate ends the
     /// leapfrog. Blocked victims always partition observably there.
     Keyed {
@@ -1425,25 +1473,11 @@ fn central_leapfrog(
     };
     let next_ready = book.next_ready();
     let open_s = if empty { f64::INFINITY } else { next_ready };
-    let max_batch = ctx.config.max_batch as usize;
-    let mut idle_clock = f64::INFINITY;
-    let mut min_clock = f64::INFINITY;
-    let mut any_full = false;
-    let mut members: Vec<usize> = Vec::with_capacity(states.len());
-    for (b, s) in states.iter().enumerate() {
-        if s.running.is_empty() {
-            idle_clock = idle_clock.min(s.clock);
-            continue;
-        }
-        min_clock = min_clock.min(s.clock);
-        any_full |= s.running.len() >= max_batch;
-        members.push(b);
-    }
-    if members.is_empty() || idle_clock.max(open_s) <= min_clock {
+    let Some(m) = LeapfrogMembers::among(ctx, states, 0..states.len(), open_s) else {
         return 0;
-    }
-    let full_s = if any_full && observable && book.victim_blocked_at(min_clock) {
-        min_clock
+    };
+    let full_s = if m.any_full && observable && book.victim_blocked_at(m.min_clock) {
+        m.min_clock
     } else {
         f64::INFINITY
     };
@@ -1452,12 +1486,55 @@ fn central_leapfrog(
         _ => None,
     };
     let gates = LeapfrogGates {
-        shared_s: f64::INFINITY,
-        idle_clock_s: idle_clock,
+        idle_clock_s: m.idle_clock,
         open_s,
         full_s,
     };
-    leapfrog_decode(ctx, trace, states, &members, gates, rounds, obs)
+    leapfrog_decode(ctx, trace, states, &m.lanes, gates, rounds, obs)
+}
+
+/// Who would join a leapfrog over a shared-queue pool: the running
+/// blades, with the facts its gates are computed from.
+struct LeapfrogMembers {
+    /// The running blades, ascending.
+    lanes: Vec<usize>,
+    /// The earliest clock among the pool's idle blades.
+    idle_clock: f64,
+    /// The minimal member clock.
+    min_clock: f64,
+    /// Whether some member's batch is full.
+    any_full: bool,
+}
+
+impl LeapfrogMembers {
+    /// The members among `blades` (ascending), or `None` when there are
+    /// none or an idle blade's pickup (queue open at `open_s`) is due
+    /// before any member could advance.
+    fn among(
+        ctx: &EngineCtx<'_>,
+        states: &[BladeState],
+        blades: impl IntoIterator<Item = usize>,
+        open_s: f64,
+    ) -> Option<Self> {
+        let max_batch = ctx.config.max_batch as usize;
+        let mut m = Self {
+            lanes: Vec::with_capacity(states.len()),
+            idle_clock: f64::INFINITY,
+            min_clock: f64::INFINITY,
+            any_full: false,
+        };
+        for b in blades {
+            let s = &states[b];
+            if s.running.is_empty() {
+                m.idle_clock = m.idle_clock.min(s.clock);
+                continue;
+            }
+            m.min_clock = m.min_clock.min(s.clock);
+            m.any_full |= s.running.len() >= max_batch;
+            m.lanes.push(b);
+        }
+        (!m.lanes.is_empty() && m.idle_clock.max(open_s) > m.min_clock).then_some(m)
+    }
 }
 
 /// Per-blade end states, per-request outcomes and the merged shedding
@@ -1607,7 +1684,285 @@ pub(crate) fn run_disaggregated(
     }
 }
 
-/// The legacy per-step disaggregated loop (the equivalence oracle).
+/// The time `r`'s prompt KV takes to stream over `link`: its handoff to
+/// the decode pool, or a preempted sequence's re-stream.
+fn kv_stream_s(ctx: &EngineCtx<'_>, link: &HandoffLink, r: &RequestSpec) -> f64 {
+    link.transfer_s(f64::from(r.prompt_tokens) * ctx.kv_bytes_per_token)
+}
+
+/// Whether a disaggregated loop acts next on the prefill tier, given
+/// both sides' next actions (prefill wins clock ties); `None` when
+/// neither side can act.
+fn prefill_next(prefill: Option<(f64, usize)>, decode: Option<(f64, usize)>) -> Option<bool> {
+    match (prefill, decode) {
+        (Some((tp, _)), Some((td, _))) => Some(tp <= td),
+        (p, d) => (p.is_some() || d.is_some()).then_some(p.is_some()),
+    }
+}
+
+/// The decode-capable blades of a disaggregated topology, ascending.
+fn decoders(roles: &[BladeRole]) -> Vec<usize> {
+    roles
+        .iter()
+        .enumerate()
+        .filter(|&(_, r)| r.can_decode())
+        .map(|(b, _)| b)
+        .collect()
+}
+
+/// The prefill tier of a disaggregated replay: the prompt queue and the
+/// prefill blades, which run whole-prompt passes batch-1 in policy order
+/// and hand each finished prompt's KV off to the decode pool. The tier
+/// never reads decode-pool state, so its next action can run wherever
+/// the replay's clock order puts it: in the replay loop, or in place
+/// inside a decode-pool leapfrog.
+struct PrefillTier<'c> {
+    ctx: &'c EngineCtx<'c>,
+    trace: &'c [RequestSpec],
+    link: &'c HandoffLink,
+    blades: Vec<usize>,
+    queue: SchedQueue,
+    /// The trace in arrival order; `first` indexes the earliest prompt
+    /// still queued, so the next arrival is read in amortized O(1).
+    /// Empty for an FCFS queue, whose head is that prompt.
+    by_arrival: Vec<usize>,
+    first: usize,
+    /// Which requests the tier has prefilled (and handed off).
+    prefilled: Vec<bool>,
+    /// [`Self::next_action`], kept current by [`Self::run`].
+    next: Option<(f64, usize)>,
+}
+
+impl<'c> PrefillTier<'c> {
+    /// The tier of `roles`' prefill blades with every prompt queued. A
+    /// `keyed` prompt queue is kept per the policy's ordering contract
+    /// ([`SchedQueue::new`]); otherwise it is re-sorted before every
+    /// prefill, as the per-step oracle does.
+    fn new(
+        ctx: &'c EngineCtx<'c>,
+        trace: &'c [RequestSpec],
+        roles: &[BladeRole],
+        link: &'c HandoffLink,
+        keyed: bool,
+        states: &[BladeState],
+    ) -> Self {
+        let order = ServingSimulator::arrival_queue(trace);
+        let by_arrival = if keyed && ctx.policy.ordering() == OrderingContract::Fcfs {
+            Vec::new()
+        } else {
+            order.iter().copied().collect()
+        };
+        let queue = if keyed {
+            SchedQueue::new(ctx.policy, trace, order)
+        } else {
+            SchedQueue::Resort(order)
+        };
+        let mut tier = Self {
+            ctx,
+            trace,
+            link,
+            blades: roles
+                .iter()
+                .enumerate()
+                .filter(|&(_, &r)| r == BladeRole::Prefill)
+                .map(|(b, _)| b)
+                .collect(),
+            queue,
+            by_arrival,
+            first: 0,
+            prefilled: vec![false; trace.len()],
+            next: None,
+        };
+        tier.next = tier.find_next(states);
+        tier
+    }
+
+    /// The next action, `(start instant, blade)`: the earliest of the
+    /// prefill blades' clocks each raised to the earliest queued arrival,
+    /// ties to the lower blade index. `None` once every prompt is done.
+    fn next_action(&self) -> Option<(f64, usize)> {
+        self.next
+    }
+
+    /// Computes [`Self::next_action`] for the current queue and clocks.
+    fn find_next(&mut self, states: &[BladeState]) -> Option<(f64, usize)> {
+        let earliest = if let SchedQueue::Fcfs(q) = &self.queue {
+            q.front()
+        } else {
+            while self
+                .by_arrival
+                .get(self.first)
+                .is_some_and(|&i| self.prefilled[i])
+            {
+                self.first += 1;
+            }
+            self.by_arrival.get(self.first)
+        };
+        let next_arrival = self.trace[*earliest?].arrival_s;
+        self.blades
+            .iter()
+            .map(|&b| (states[b].clock.max(next_arrival), b))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
+    /// Runs the next action: the queue's policy head is prefilled on the
+    /// chosen blade (its prefix cache and the global tier consulted) and
+    /// handed off. Returns the request and the instant its KV reaches
+    /// the decode pool; the caller queues it there. The action's start
+    /// instants never decrease, so a keyed prompt queue absorbs arrivals
+    /// exactly as repeated stable sorts order them.
+    fn run(
+        &mut self,
+        states: &mut [BladeState],
+        outcomes: &mut [Outcome],
+        obs: &mut dyn SimObserver,
+    ) -> (usize, f64) {
+        let (at, b) = self.next.expect("a prompt is queued");
+        let ctx = self.ctx;
+        let blade = &mut states[b];
+        blade.clock = blade.clock.max(at);
+        // The prefill blade's cache changes below.
+        blade.cached_plan = None;
+        self.queue.prepare(blade.clock, self.trace, ctx.policy);
+        let idx = self.queue.peek().expect("prompt queue non-empty");
+        self.queue.pop();
+        let r = &self.trace[idx];
+        let start = blade.clock.max(r.arrival_s);
+        // Prefix caching on the prefill tier: a cached prefix skips its
+        // prefill compute here. The blade retains no sequence KV
+        // (everything streams to the decode pool), so the cache is its
+        // only occupancy and is bounded by the blade's KV budget;
+        // references are dropped as soon as the handoff is priced.
+        let mut skip = 0u32;
+        if let (Some(pc), Some(prefix)) = (ctx.config.prefix, r.prefix) {
+            let (chain, hits, covered) = blade.acquire_prefix(pc, prefix);
+            skip = covered;
+            blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
+            if skip > 0 {
+                obs.on_cache_hit(b as u32, start, r, skip);
+            } else {
+                obs.on_cache_miss(b as u32, start, r);
+            }
+            let cache = blade.cache.as_mut().expect("cache present when enabled");
+            cache
+                .insert(&chain, hits)
+                .expect("suffix absent by acquire");
+            cache
+                .release(&chain, chain.len())
+                .expect("acquired/inserted above");
+            let budget = (ctx.config.kv_capacity_bytes / ctx.kv_bytes_per_token) as u64;
+            let evicted = cache.evict_to_budget(pc.block_tokens, budget);
+            blade.cache_evictions += evicted;
+            for _ in 0..evicted {
+                obs.on_cache_evict(b as u32, start, pc.block_tokens);
+            }
+            // The cache is the prefill blade's whole KV occupancy: fold
+            // it into the blade's peak (and its partial tail blocks into
+            // fragmentation) so shared ≤ total holds.
+            let charged = cache.charged_tokens(pc.block_tokens);
+            blade.shared_peak_tokens = blade.shared_peak_tokens.max(charged);
+            blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
+            blade.frag_peak_tokens = blade
+                .frag_peak_tokens
+                .max(charged - cache.resident_tokens());
+            outcomes[idx].prefix_saved_tokens += u64::from(skip);
+        }
+        // Global-tier race (cluster coordination): when the tier held
+        // more of this prefix than the blade's own cache at arrival, the
+        // remainder streams in over the tier's link iff that beats
+        // recomputing it locally (see [`super::coord`]).
+        let mut tier_transfer_s = 0.0;
+        if let (Some(coord), Some(_)) = (ctx.coord, r.prefix) {
+            let covered = coord.covered[idx].min(r.prompt_tokens);
+            if covered > skip {
+                let remote = covered - skip;
+                let transfer = coord
+                    .link
+                    .transfer_s(f64::from(remote) * ctx.kv_bytes_per_token);
+                let recompute = ctx.table.prefill_cost(r.prompt_tokens - skip)
+                    - if r.prompt_tokens > covered {
+                        ctx.table.prefill_cost(r.prompt_tokens - covered)
+                    } else {
+                        0.0
+                    };
+                let streams = transfer < recompute;
+                blade.remote_hits += 1;
+                obs.on_remote_cache_hit(b as u32, start, r, remote, transfer, streams);
+                if streams {
+                    blade.remote_streams += 1;
+                    blade.remote_streamed_tokens += u64::from(remote);
+                    outcomes[idx].prefix_saved_tokens += u64::from(remote);
+                    tier_transfer_s = transfer;
+                    skip = covered;
+                } else {
+                    blade.remote_recomputes += 1;
+                }
+            }
+        }
+        let cost = tier_transfer_s
+            + if r.prompt_tokens > skip {
+                ctx.table.prefill_cost(r.prompt_tokens - skip)
+            } else {
+                0.0
+            };
+        blade.clock = start + cost;
+        blade.busy_s += cost;
+        blade.max_step_s = blade.max_step_s.max(cost);
+        let transfer = kv_stream_s(ctx, self.link, r);
+        let ready = blade.clock + transfer;
+        obs.on_handoff(b as u32, blade.clock, r, transfer);
+        self.prefilled[idx] = true;
+        self.next = self.find_next(states);
+        (idx, ready)
+    }
+}
+
+/// The event core's disaggregated state: the prefill tier and the decode
+/// pool, whose leapfrog runs both the tier's actions and the pool's own
+/// rounds in place.
+struct Disaggregated<'c> {
+    tier: PrefillTier<'c>,
+    pool: PoolRounds<'c>,
+    /// Whether the last in-place round left its blade's batch full.
+    left_full: bool,
+}
+
+/// The replay loop runs its own prefills and decode rounds through the
+/// same [`MemberRounds::feed`] and [`MemberRounds::run`] the leapfrog
+/// calls.
+impl MemberRounds for Disaggregated<'_> {
+    fn run(&mut self, blade: &mut BladeState, obs: &mut dyn SimObserver) -> u32 {
+        let served = self.pool.round(blade, Some(&self.tier.prefilled), obs);
+        self.left_full = blade.running.len() >= self.pool.ctx.config.max_batch as usize;
+        served
+    }
+
+    /// `None` after a round that re-queued a victim (blocked at the front
+    /// while its KV re-streams, it re-partitions the pool) or left its
+    /// blade full (the full gate may be unset or stale): the leapfrog
+    /// exits and the next one recomputes the full gate.
+    fn open_gate(&mut self) -> Option<f64> {
+        let open = self.pool.open_s();
+        (self.pool.victims.is_empty() && !self.left_full).then_some(open)
+    }
+
+    fn feed_at(&self) -> f64 {
+        self.tier.next_action().map_or(f64::INFINITY, |(tp, _)| tp)
+    }
+
+    /// Runs the prefill tier's next action and queues its handoff in the
+    /// decode pool.
+    fn feed(&mut self, states: &mut [BladeState], obs: &mut dyn SimObserver) -> f64 {
+        let (idx, ready) = self.tier.run(states, &mut self.pool.outcomes, obs);
+        self.pool.queue.push_back(idx);
+        self.pool.book.push(idx, ready);
+        ready
+    }
+}
+
+/// The legacy per-step disaggregated loop (the equivalence oracle). Its
+/// prompt queue re-sorts before every prefill, and its decode queue is
+/// re-scanned and re-partitioned every round.
 fn run_disaggregated_per_step(
     sim: &ServingSimulator<'_>,
     trace: &[RequestSpec],
@@ -1617,163 +1972,37 @@ fn run_disaggregated_per_step(
     obs: &mut dyn SimObserver,
 ) -> Result<ClusterReport, OptimusError> {
     let ctx = sim.ctx(table);
-    let prefillers: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, &r)| r == BladeRole::Prefill)
-        .map(|(b, _)| b)
-        .collect();
-    let decoders: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, r)| r.can_decode())
-        .map(|(b, _)| b)
-        .collect();
+    let decoders = decoders(roles);
     let mut states: Vec<BladeState> = (0..roles.len())
         .map(|b| BladeState::new(b as u32, 0.0, sim.config().prefix))
         .collect();
-    let mut prompt_queue = ServingSimulator::arrival_queue(trace);
+    let mut tier = PrefillTier::new(&ctx, trace, roles, link, false, &states);
     let mut decode_queue: VecDeque<usize> = VecDeque::new();
     let mut outcomes = vec![Outcome::default(); trace.len()];
     // Re-entry instant per request: the handoff completion for freshly
     // prefilled sequences, eviction + re-stream for preempted ones.
     let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let mut prefilled = vec![false; trace.len()];
     let mut victims: Vec<usize> = Vec::new();
-    let kv_stream_bytes = |r: &RequestSpec| f64::from(r.prompt_tokens) * sim.kv_bytes_per_token();
     let mut served = 0u32;
     while served < trace.len() as u32 {
-        // Earliest prefill action: an idle prefill blade and the first
-        // arrival still queued.
-        let prefill_action = if prompt_queue.is_empty() {
-            None
-        } else {
-            let next_arrival = prompt_queue
-                .iter()
-                .map(|&i| trace[i].arrival_s)
-                .fold(f64::MAX, f64::min);
-            prefillers
-                .iter()
-                .map(|&b| (states[b].clock.max(next_arrival), b))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-        };
+        let prefill_action = tier.next_action();
         // Earliest decode action, as in the central loop.
         let next_ready = decode_queue
             .iter()
             .map(|&i| ready[i])
             .fold(f64::MAX, f64::min);
-        let decode_action = decoders
-            .iter()
-            .filter_map(|&b| {
-                let s = &states[b];
-                if !s.running.is_empty() {
-                    Some((s.clock, b))
-                } else if !decode_queue.is_empty() {
-                    Some((s.clock.max(next_ready), b))
-                } else {
-                    None
-                }
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let do_prefill = match (prefill_action, decode_action) {
-            (Some((tp, _)), Some((td, _))) => tp <= td,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return Err(wedged("disaggregated", served, trace.len())),
+        let decode_action = next_blade(
+            &states,
+            decoders.iter().copied(),
+            decode_queue.is_empty(),
+            next_ready,
+        );
+        let Some(do_prefill) = prefill_next(prefill_action, decode_action) else {
+            return Err(wedged("disaggregated", served, trace.len()));
         };
         if do_prefill {
-            let (at, b) = prefill_action.expect("chosen above");
-            let blade = &mut states[b];
-            blade.clock = blade.clock.max(at);
-            sim.policy()
-                .order_queue(blade.clock, trace, &mut prompt_queue);
-            let idx = prompt_queue.pop_front().expect("prompt queue non-empty");
-            let r = &trace[idx];
-            let start = blade.clock.max(r.arrival_s);
-            // Prefix caching on the prefill tier: a cached prefix skips
-            // its prefill compute here. The blade retains no sequence KV
-            // (everything streams to the decode pool), so the cache is
-            // its only occupancy and is bounded by the blade's KV budget;
-            // references are dropped as soon as the handoff is priced.
-            let mut skip = 0u32;
-            if let (Some(pc), Some(prefix)) = (sim.config().prefix, r.prefix) {
-                let (chain, hits, covered) = blade.acquire_prefix(pc, prefix);
-                skip = covered;
-                blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
-                if skip > 0 {
-                    obs.on_cache_hit(b as u32, start, r, skip);
-                } else {
-                    obs.on_cache_miss(b as u32, start, r);
-                }
-                let cache = blade.cache.as_mut().expect("cache present when enabled");
-                cache
-                    .insert(&chain, hits)
-                    .expect("suffix absent by acquire");
-                cache
-                    .release(&chain, chain.len())
-                    .expect("acquired/inserted above");
-                let budget = (sim.config().kv_capacity_bytes / sim.kv_bytes_per_token()) as u64;
-                let evicted = cache.evict_to_budget(pc.block_tokens, budget);
-                blade.cache_evictions += evicted;
-                for _ in 0..evicted {
-                    obs.on_cache_evict(b as u32, start, pc.block_tokens);
-                }
-                // The cache is the prefill blade's whole KV occupancy:
-                // fold it into the blade's peak (and its partial tail
-                // blocks into fragmentation) so shared ≤ total holds.
-                let charged = cache.charged_tokens(pc.block_tokens);
-                blade.shared_peak_tokens = blade.shared_peak_tokens.max(charged);
-                blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
-                blade.frag_peak_tokens = blade
-                    .frag_peak_tokens
-                    .max(charged - cache.resident_tokens());
-                outcomes[idx].prefix_saved_tokens += u64::from(skip);
-            }
-            // Global-tier race (cluster coordination): when the tier held
-            // more of this prefix than the blade's own cache at arrival,
-            // the remainder streams in over the tier's link iff that
-            // beats recomputing it locally (see [`super::coord`]).
-            let mut tier_transfer_s = 0.0;
-            if let (Some(coord), Some(_)) = (sim.coord(), r.prefix) {
-                let covered = coord.covered[idx].min(r.prompt_tokens);
-                if covered > skip {
-                    let remote = covered - skip;
-                    let transfer = coord
-                        .link
-                        .transfer_s(f64::from(remote) * sim.kv_bytes_per_token());
-                    let recompute = table.prefill_cost(r.prompt_tokens - skip)
-                        - if r.prompt_tokens > covered {
-                            table.prefill_cost(r.prompt_tokens - covered)
-                        } else {
-                            0.0
-                        };
-                    let streams = transfer < recompute;
-                    blade.remote_hits += 1;
-                    obs.on_remote_cache_hit(b as u32, start, r, remote, transfer, streams);
-                    if streams {
-                        blade.remote_streams += 1;
-                        blade.remote_streamed_tokens += u64::from(remote);
-                        outcomes[idx].prefix_saved_tokens += u64::from(remote);
-                        tier_transfer_s = transfer;
-                        skip = covered;
-                    } else {
-                        blade.remote_recomputes += 1;
-                    }
-                }
-            }
-            let cost = tier_transfer_s
-                + if r.prompt_tokens > skip {
-                    table.prefill_cost(r.prompt_tokens - skip)
-                } else {
-                    0.0
-                };
-            blade.clock = start + cost;
-            blade.busy_s += cost;
-            blade.max_step_s = blade.max_step_s.max(cost);
-            let transfer = link.transfer_s(kv_stream_bytes(r));
-            ready[idx] = blade.clock + transfer;
-            prefilled[idx] = true;
-            obs.on_handoff(b as u32, blade.clock, r, transfer);
+            let (idx, at) = tier.run(&mut states, &mut outcomes, obs);
+            ready[idx] = at;
             decode_queue.push_back(idx);
         } else {
             let (at, b) = decode_action.expect("chosen above");
@@ -1799,14 +2028,14 @@ fn run_disaggregated_per_step(
                 blade,
                 &mut outcomes,
                 Some(&mut victims),
-                Some(&prefilled),
+                Some(&tier.prefilled),
                 None,
                 obs,
             );
             for &v in &victims {
                 // The victim's KV must be re-streamed from the prefill
                 // tier before it can restart anywhere.
-                ready[v] = states[b].clock + link.transfer_s(kv_stream_bytes(&trace[v]));
+                ready[v] = states[b].clock + kv_stream_s(&ctx, link, &trace[v]);
             }
         }
     }
@@ -1815,13 +2044,18 @@ fn run_disaggregated_per_step(
 
 /// Event-driven twin of [`run_disaggregated_per_step`]: the same
 /// prefill/decode alternation and bit-identical reports, with the
-/// per-round queue scans made incremental — the prompt queue's next
-/// arrival read off its head under FCFS (it only ever pops, so it stays
-/// arrival-sorted), the decode pool's ready fold replaced by a lazy
-/// ready-time window, the FCFS no-op re-sorts skipped, and the
-/// eligibility partition skipped whenever the window proves it the
-/// identity (handoff ready times are not queue-ordered, so the FCFS
-/// shortcut of the central loop does not apply here).
+/// per-action queue work made incremental — the prompt queue keyed
+/// ([`SchedQueue`]: untouched under FCFS, an ordered set under a
+/// StaticKey policy) with its next arrival read off an arrival-order
+/// cursor, the decode pool run by the central loops' round body
+/// ([`PoolRounds`]: lazy ready-time window, FCFS no-op re-sorts and
+/// identity partitions skipped).
+///
+/// After every decode round the decode pool leapfrogs
+/// ([`disaggregated_leapfrog`]), running the prefill tier's actions and
+/// the pool's own rounds in place. Control comes back here only when an
+/// idle decoder's pickup is due, when an in-place round re-queues a
+/// victim or leaves its batch full, or when no decoder is running.
 fn run_disaggregated_event(
     sim: &ServingSimulator<'_>,
     trace: &[RequestSpec],
@@ -1831,275 +2065,109 @@ fn run_disaggregated_event(
     obs: &mut dyn SimObserver,
 ) -> Result<ClusterReport, OptimusError> {
     let ctx = sim.ctx(table);
-    let fcfs = sim.policy().ordering() == OrderingContract::Fcfs;
-    let prefillers: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, &r)| r == BladeRole::Prefill)
-        .map(|(b, _)| b)
-        .collect();
-    let decoders: Vec<usize> = roles
-        .iter()
-        .enumerate()
-        .filter(|&(_, r)| r.can_decode())
-        .map(|(b, _)| b)
-        .collect();
+    let decoders = decoders(roles);
     let mut states: Vec<BladeState> = (0..roles.len())
         .map(|b| BladeState::new(b as u32, 0.0, sim.config().prefix))
         .collect();
-    let mut prompt_queue = ServingSimulator::arrival_queue(trace);
-    let mut decode_queue: VecDeque<usize> = VecDeque::new();
-    let mut outcomes = vec![Outcome::default(); trace.len()];
-    let mut ready: Vec<f64> = trace.iter().map(|r| r.arrival_s).collect();
-    let mut prefilled = vec![false; trace.len()];
-    let mut in_decode = vec![false; trace.len()];
-    let mut window = ReadyWindow::new();
-    let mut victims: Vec<usize> = Vec::new();
-    let kv_stream_bytes = |r: &RequestSpec| f64::from(r.prompt_tokens) * sim.kv_bytes_per_token();
+    let mut d = Disaggregated {
+        tier: PrefillTier::new(&ctx, trace, roles, link, true, &states),
+        pool: PoolRounds {
+            ctx: &ctx,
+            trace,
+            fcfs: sim.policy().ordering() == OrderingContract::Fcfs,
+            queue: VecDeque::new(),
+            book: ReadyBook::empty(trace),
+            victims: Vec::new(),
+            outcomes: vec![Outcome::default(); trace.len()],
+            ctl: None,
+            restream: Some(link),
+        },
+        left_full: false,
+    };
     let mut served = 0u32;
     while served < trace.len() as u32 {
-        let prefill_action = if prompt_queue.is_empty() {
-            None
-        } else {
-            // Under FCFS the head is the earliest arrival (the prompt
-            // queue only pops — victims re-enter the decode pool);
-            // clock-ordering policies keep the legacy fold.
-            let next_arrival = if fcfs {
-                trace[*prompt_queue.front().expect("non-empty")].arrival_s
-            } else {
-                prompt_queue
-                    .iter()
-                    .map(|&i| trace[i].arrival_s)
-                    .fold(f64::MAX, f64::min)
-            };
-            prefillers
-                .iter()
-                .map(|&b| (states[b].clock.max(next_arrival), b))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-        };
-        let next_ready = window.min(&in_decode, &ready).unwrap_or(f64::MAX);
-        let decode_action = decoders
-            .iter()
-            .filter_map(|&b| {
-                let s = &states[b];
-                if !s.running.is_empty() {
-                    Some((s.clock, b))
-                } else if !decode_queue.is_empty() {
-                    Some((s.clock.max(next_ready), b))
-                } else {
-                    None
-                }
-            })
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let do_prefill = match (prefill_action, decode_action) {
-            (Some((tp, _)), Some((td, _))) => tp <= td,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return Err(wedged("disaggregated", served, trace.len())),
+        let prefill_action = d.tier.next_action();
+        let next_ready = d.pool.book.next_ready();
+        let decode_action = next_blade(
+            &states,
+            decoders.iter().copied(),
+            d.pool.queue.is_empty(),
+            next_ready,
+        );
+        let Some(do_prefill) = prefill_next(prefill_action, decode_action) else {
+            return Err(wedged("disaggregated", served, trace.len()));
         };
         if do_prefill {
-            let (at, b) = prefill_action.expect("chosen above");
-            let blade = &mut states[b];
-            blade.clock = blade.clock.max(at);
-            // The prefill blade's cache changes below.
-            blade.cached_plan = None;
-            if !fcfs {
-                sim.policy()
-                    .order_queue(blade.clock, trace, &mut prompt_queue);
-            }
-            let idx = prompt_queue.pop_front().expect("prompt queue non-empty");
-            let r = &trace[idx];
-            let start = blade.clock.max(r.arrival_s);
-            let mut skip = 0u32;
-            if let (Some(pc), Some(prefix)) = (sim.config().prefix, r.prefix) {
-                let (chain, hits, covered) = blade.acquire_prefix(pc, prefix);
-                skip = covered;
-                blade.record_prefix_admission(pc, prefix, chain.len(), hits, skip);
-                if skip > 0 {
-                    obs.on_cache_hit(b as u32, start, r, skip);
-                } else {
-                    obs.on_cache_miss(b as u32, start, r);
-                }
-                let cache = blade.cache.as_mut().expect("cache present when enabled");
-                cache
-                    .insert(&chain, hits)
-                    .expect("suffix absent by acquire");
-                cache
-                    .release(&chain, chain.len())
-                    .expect("acquired/inserted above");
-                let budget = (sim.config().kv_capacity_bytes / sim.kv_bytes_per_token()) as u64;
-                let evicted = cache.evict_to_budget(pc.block_tokens, budget);
-                blade.cache_evictions += evicted;
-                for _ in 0..evicted {
-                    obs.on_cache_evict(b as u32, start, pc.block_tokens);
-                }
-                let charged = cache.charged_tokens(pc.block_tokens);
-                blade.shared_peak_tokens = blade.shared_peak_tokens.max(charged);
-                blade.kv_peak_tokens = blade.kv_peak_tokens.max(charged);
-                blade.frag_peak_tokens = blade
-                    .frag_peak_tokens
-                    .max(charged - cache.resident_tokens());
-                outcomes[idx].prefix_saved_tokens += u64::from(skip);
-            }
-            // Global-tier race (cluster coordination): when the tier held
-            // more of this prefix than the blade's own cache at arrival,
-            // the remainder streams in over the tier's link iff that
-            // beats recomputing it locally (see [`super::coord`]).
-            let mut tier_transfer_s = 0.0;
-            if let (Some(coord), Some(_)) = (sim.coord(), r.prefix) {
-                let covered = coord.covered[idx].min(r.prompt_tokens);
-                if covered > skip {
-                    let remote = covered - skip;
-                    let transfer = coord
-                        .link
-                        .transfer_s(f64::from(remote) * sim.kv_bytes_per_token());
-                    let recompute = table.prefill_cost(r.prompt_tokens - skip)
-                        - if r.prompt_tokens > covered {
-                            table.prefill_cost(r.prompt_tokens - covered)
-                        } else {
-                            0.0
-                        };
-                    let streams = transfer < recompute;
-                    blade.remote_hits += 1;
-                    obs.on_remote_cache_hit(b as u32, start, r, remote, transfer, streams);
-                    if streams {
-                        blade.remote_streams += 1;
-                        blade.remote_streamed_tokens += u64::from(remote);
-                        outcomes[idx].prefix_saved_tokens += u64::from(remote);
-                        tier_transfer_s = transfer;
-                        skip = covered;
-                    } else {
-                        blade.remote_recomputes += 1;
-                    }
-                }
-            }
-            let cost = tier_transfer_s
-                + if r.prompt_tokens > skip {
-                    table.prefill_cost(r.prompt_tokens - skip)
-                } else {
-                    0.0
-                };
-            blade.clock = start + cost;
-            blade.busy_s += cost;
-            blade.max_step_s = blade.max_step_s.max(cost);
-            let transfer = link.transfer_s(kv_stream_bytes(r));
-            ready[idx] = blade.clock + transfer;
-            prefilled[idx] = true;
-            obs.on_handoff(b as u32, blade.clock, r, transfer);
-            decode_queue.push_back(idx);
-            in_decode[idx] = true;
-            window.push(ready[idx], idx);
+            d.feed(&mut states, obs);
         } else {
             let (at, b) = decode_action.expect("chosen above");
             let blade = &mut states[b];
             if blade.running.is_empty() {
                 blade.clock = blade.clock.max(at);
             }
-            if !fcfs {
-                sim.policy()
-                    .order_queue(blade.clock, trace, &mut decode_queue);
-            }
-            let clock = blade.clock;
-            let skip_partition = window.max(&in_decode, &ready).is_none_or(|t| t <= clock)
-                || window.min(&in_decode, &ready).is_none_or(|t| t > clock);
-            if !skip_partition {
-                let (eligible, waiting): (Vec<usize>, Vec<usize>) = decode_queue
-                    .iter()
-                    .copied()
-                    .partition(|&i| ready[i] <= clock);
-                decode_queue.clear();
-                decode_queue.extend(eligible);
-                decode_queue.extend(waiting);
-            }
-            victims.clear();
-            let mut tracked = TrackedQueue::new(&mut decode_queue);
-            served += ctx.step(
-                trace,
-                &ready,
-                &mut tracked,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
-                Some(&prefilled),
-                None,
-                obs,
-            );
-            for &i in &tracked.admitted {
-                in_decode[i] = false;
-            }
-            for &v in &victims {
-                ready[v] = states[b].clock + link.transfer_s(kv_stream_bytes(&trace[v]));
-                in_decode[v] = true;
-                window.push(ready[v], v);
-            }
-            // Fast-forward the decode pool through its pure-decode
-            // future with a leapfrog (exact per-step round order across
-            // decoders, ties broken by blade index as in `chosen`).
-            // Shared gates: the prefill tier's next action (prefill
-            // wins clock ties) and any idle decoder's next admission
-            // instant. Per-member gates: the next queued ready time
-            // while a batch slot is open, and — batch full — the next
-            // handoff delivery or victim re-stream, whose arrival
-            // observably re-partitions the pool (handoff ready times
-            // are not queue-ordered, so no policy earns the central
-            // loop's FCFS exemption), or at once when the partition
-            // already reorders the pool. All gates are frozen across the
-            // leapfrog: nothing is admitted or evicted, and the prompt
-            // queue only moves on prefill rounds.
-            let queue_empty = decode_queue.is_empty();
-            let next_ready = window.min(&in_decode, &ready).unwrap_or(f64::MAX);
-            let max_batch = ctx.config.max_batch as usize;
-            let mut gates = LeapfrogGates {
-                shared_s: prefill_action.map_or(f64::INFINITY, |(tp, _)| tp),
-                idle_clock_s: f64::INFINITY,
-                open_s: if queue_empty {
-                    f64::INFINITY
-                } else {
-                    next_ready
-                },
-                full_s: f64::INFINITY,
-            };
-            let mut min_clock = f64::INFINITY;
-            let mut any_full = false;
-            let mut members: Vec<usize> = Vec::with_capacity(decoders.len());
-            for &ob in &decoders {
-                let s = &states[ob];
-                if s.running.is_empty() {
-                    gates.idle_clock_s = gates.idle_clock_s.min(s.clock);
-                    continue;
-                }
-                min_clock = min_clock.min(s.clock);
-                any_full |= s.running.len() >= max_batch;
-                members.push(ob);
-            }
-            if !members.is_empty() && gates.shared() > min_clock {
-                // The delivery transition is measured from the minimal
-                // member clock so it lower-bounds every member's own;
-                // a member already past it parks, conservatively. Up to
-                // it the eligible set is frozen, so every skipped
-                // partition equals the one at the minimal clock, which
-                // moves nothing unless a blocked request sits ahead of
-                // an eligible one (deliveries from several prefill
-                // blades can queue out of ready order).
-                if any_full {
-                    let mut blocked_ahead = false;
-                    let mut reorders = false;
-                    let mut transition = f64::INFINITY;
-                    for &i in &decode_queue {
-                        if ready[i] > min_clock {
-                            blocked_ahead = true;
-                            transition = transition.min(ready[i]);
-                        } else {
-                            reorders |= blocked_ahead;
-                        }
-                    }
-                    gates.full_s = if reorders { min_clock } else { transition };
-                }
-                leapfrog_decode(&ctx, trace, &mut states, &members, gates, None, obs);
-            }
+            served += d.run(blade, obs);
+            served += disaggregated_leapfrog(&ctx, trace, &mut states, &decoders, &mut d, obs);
         }
     }
-    assemble(sim, trace, &states, &outcomes, roles, None, None)
+    assemble(sim, trace, &states, &d.pool.outcomes, roles, None, None)
+}
+
+/// Fast-forwards the decode pool with a leapfrog (exact per-step round
+/// order across decoders, ties broken by blade index) that runs the
+/// prefill tier's actions and the pool's own rounds in place
+/// ([`MemberRounds`] of [`Disaggregated`]). Shared gate: an idle
+/// decoder's next admission instant. Member gates: the next queued ready
+/// time while a batch slot is open, and — batch full — the next handoff
+/// delivery or victim re-stream, whose arrival observably re-partitions
+/// the pool (handoff ready times are not queue-ordered, so no policy
+/// earns the central loop's FCFS exemption), or at once when the
+/// partition already reorders the pool. Each in-place handoff lowers
+/// both member gates to its ready time.
+///
+/// Returns the requests the leapfrog's in-place rounds served.
+fn disaggregated_leapfrog(
+    ctx: &EngineCtx<'_>,
+    trace: &[RequestSpec],
+    states: &mut [BladeState],
+    decoders: &[usize],
+    d: &mut Disaggregated<'_>,
+    obs: &mut dyn SimObserver,
+) -> u32 {
+    let pool = &mut d.pool;
+    let open_s = pool.open_s();
+    let Some(m) = LeapfrogMembers::among(ctx, states, decoders.iter().copied(), open_s) else {
+        return 0;
+    };
+    // The delivery transition is measured from the minimal member clock
+    // so it lower-bounds every member's own; a member already past it
+    // parks, conservatively. Up to it the eligible set is frozen, so
+    // every skipped partition equals the one at the minimal clock, which
+    // moves nothing unless a blocked request sits ahead of an eligible
+    // one (deliveries from several prefill blades can queue out of ready
+    // order).
+    let mut full_s = f64::INFINITY;
+    if m.any_full {
+        let ready = &pool.book.ready;
+        let mut blocked_ahead = false;
+        let mut reorders = false;
+        for &i in &pool.queue {
+            if ready[i] > m.min_clock {
+                blocked_ahead = true;
+                full_s = full_s.min(ready[i]);
+            } else {
+                reorders |= blocked_ahead;
+            }
+        }
+        if reorders {
+            full_s = m.min_clock;
+        }
+    }
+    let gates = LeapfrogGates {
+        idle_clock_s: m.idle_clock,
+        open_s,
+        full_s,
+    };
+    leapfrog_decode(ctx, trace, states, &m.lanes, gates, Some(d), obs)
 }
 
 #[cfg(test)]

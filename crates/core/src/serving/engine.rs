@@ -1459,11 +1459,6 @@ impl<'a> ServingSimulator<'a> {
         self.coord = Some(plan);
     }
 
-    /// The attached coordination plan, if any.
-    pub(crate) fn coord(&self) -> Option<&CoordPlan> {
-        self.coord.as_ref()
-    }
-
     /// Fresh admission-control gate state for a `requests`-long trace, or
     /// `None` when no gate is configured (the replay then takes no
     /// control-plane branch anywhere). The gate watches the strict

@@ -874,16 +874,15 @@ impl DecodeStretch {
 
 /// The round-start gates of one [`leapfrog_decode`] call.
 ///
-/// Shared gates stop the whole leapfrog when the `(clock, index)`-minimal
-/// member reaches them: `shared_s` (a fixed instant, such as the prefill
-/// tier's next action) and an idle blade's pickup, due at
+/// The shared gate stops the whole leapfrog when the `(clock, index)`-
+/// minimal member reaches it: an idle blade's pickup, due at
 /// `max(idle_clock_s, open_s)`. Member gates hand the minimal member its
 /// own real round: `open_s` for a member with an open batch slot, `full_s`
-/// for one whose batch is full.
+/// for one whose batch is full. A tier that feeds the members' queue
+/// (the disaggregated prefill tier) is no gate: it runs in place through
+/// [`MemberRounds::feed`], lowering `open_s` and `full_s` as it queues.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LeapfrogGates {
-    /// A fixed gate common to every round (`f64::INFINITY` when none).
-    pub(crate) shared_s: f64,
     /// The earliest clock among idle blades that pick up from the
     /// members' queue (`f64::INFINITY` when none is idle).
     pub(crate) idle_clock_s: f64,
@@ -896,25 +895,40 @@ pub(crate) struct LeapfrogGates {
 }
 
 impl LeapfrogGates {
-    /// The shared gate: the fixed one or an idle blade's pickup. With an
-    /// empty queue `open_s` is infinite, so idle blades gate nothing.
+    /// The shared gate: an idle blade's pickup. With an empty queue
+    /// `open_s` is infinite, so idle blades gate nothing.
     pub(crate) fn shared(&self) -> f64 {
-        self.shared_s.min(self.idle_clock_s.max(self.open_s))
+        self.idle_clock_s.max(self.open_s)
     }
 }
 
-/// The owning loop's real round, run by [`leapfrog_decode`] in place of
-/// breaking out when the minimal member reaches its own gate or has no
-/// plan: with no shared gate due, that member's round is exactly the
-/// round the loop would run next.
+/// The owning loop's real rounds, run by [`leapfrog_decode`] in place of
+/// breaking out. A member round runs when the minimal member reaches its
+/// own gate or has no plan: with no shared gate due, that member's round
+/// is exactly the round the loop would run next. A feeding tier's action
+/// runs when it is due no later than the minimal member and the shared
+/// gate (it wins clock ties, as in the owning loop): it reads no member
+/// state, only appends to the members' queue.
 pub(crate) trait MemberRounds {
     /// Runs `blade`'s next round and returns the requests it completed
     /// or shed (the caller owns the served count).
     fn run(&mut self, blade: &mut BladeState, obs: &mut dyn SimObserver) -> u32;
     /// [`LeapfrogGates::open_s`] after that round, or `None` when the
-    /// round made skipped partitions observable (the leapfrog's full
-    /// gate no longer holds, so it exits).
+    /// leapfrog's full gate no longer holds after it (the round made
+    /// skipped partitions observable, or left a batch full that the gate
+    /// was not computed for), so the leapfrog exits.
     fn open_gate(&mut self) -> Option<f64>;
+    /// When the feeding tier acts next (`f64::INFINITY`: no feeder, or
+    /// nothing left to feed).
+    fn feed_at(&self) -> f64 {
+        f64::INFINITY
+    }
+    /// Runs the feeding tier's next action on `states` (never a member's
+    /// blade) and returns the ready time of the request it queued.
+    fn feed(&mut self, states: &mut [BladeState], obs: &mut dyn SimObserver) -> f64 {
+        let _ = (states, obs);
+        unreachable!("feed_at is infinite without a feeding tier")
+    }
 }
 
 /// One leapfrog member's hot state, packed so the per-iteration
@@ -1007,12 +1021,18 @@ fn cached_or_fresh_plan(
 /// holds even though many rounds across many blades are batched into
 /// one call.
 ///
-/// Gate discipline (see [`LeapfrogGates`]): shared gates cover actions
-/// of blades outside the leapfrog, member gates a member's own
-/// admission and partition bounds. Members are advanced in global round
-/// order, so the first gated round in that order is the cluster's next
-/// action — rounds processed before it genuinely preceded it. A shared
-/// gate always ends the leapfrog.
+/// Gate discipline (see [`LeapfrogGates`]): the shared gate covers idle
+/// blades' pickups, member gates a member's own admission and partition
+/// bounds. Members are advanced in global round order, so the first
+/// gated round in that order is the cluster's next action — rounds
+/// processed before it genuinely preceded it. The shared gate always
+/// ends the leapfrog.
+///
+/// A feeding tier ([`MemberRounds::feed_at`]) takes its turn in the same
+/// order: when its next action is due no later than the minimal member
+/// and the shared gate, it runs in place, and the request it queues
+/// lowers `open_s` and `full_s` to that request's ready time (queued at
+/// the back, it is blocked until then and moves no partition).
 ///
 /// A member whose plan is exhausted mid-loop commits its bookkeeping
 /// and re-plans in place (a bucket crossing just changes the constant
@@ -1024,8 +1044,9 @@ fn cached_or_fresh_plan(
 ///   iterations, runs the round through [`MemberRounds::run`], and goes
 ///   on: the member is refreshed from its blade (and re-planned, lazily,
 ///   once the leapfrog is known to continue) or retired if its batch
-///   emptied, its clock joining the idle ones. Only the open gate moves
-///   with the queue; a round after which it cannot be tracked exits.
+///   emptied, its clock joining the idle ones. The open gate is re-read
+///   after the round; a round after which the full gate cannot be
+///   tracked exits.
 ///
 /// Returns the requests the in-place rounds completed or shed; the
 /// caller adds them to its served count.
@@ -1058,6 +1079,9 @@ pub(crate) fn leapfrog_decode(
         })
         .collect();
     let mut shared = gates.shared();
+    let mut feed_s = rounds.as_deref().map_or(f64::INFINITY, |r| r.feed_at());
+    // Whichever of the shared gate and the feeding tier comes first.
+    let mut stop = shared.min(feed_s);
     let mut served = 0u32;
     // The lane an in-place round refreshed, still awaiting its plan.
     let mut unplanned: Option<usize> = None;
@@ -1070,8 +1094,20 @@ pub(crate) fn leapfrog_decode(
                 clock = lane.clock;
             }
         }
-        if shared <= clock {
-            break;
+        if stop <= clock {
+            // The feeding tier wins ties with the shared gate, as with
+            // the members.
+            if shared < feed_s {
+                break;
+            }
+            let r = rounds.as_deref_mut().expect("only rounds feed");
+            let ready = r.feed(states, obs);
+            gates.open_s = gates.open_s.min(ready);
+            gates.full_s = gates.full_s.min(ready);
+            shared = gates.shared();
+            feed_s = r.feed_at();
+            stop = shared.min(feed_s);
+            continue;
         }
         if let Some(u) = unplanned.take() {
             lanes[u].plan = DecodeStretch::plan(ctx, trace, &states[lanes[u].blade]);
@@ -1105,6 +1141,7 @@ pub(crate) fn leapfrog_decode(
                 let Some(open) = r.open_gate() else { break };
                 gates.open_s = open;
                 shared = gates.shared();
+                stop = shared.min(feed_s);
                 continue;
             }
         };

@@ -1357,9 +1357,11 @@ pub mod profile {
     //! concurrent replays accumulate into the same counters, so scope a
     //! [`start`]/[`stop`] pair around the one replay you mean to
     //! profile. Phases nest: a leapfrog replay plans stretches inside,
-    //! and in the central loop it also runs the members' own engine
-    //! rounds in place, admission scans included. Phase times therefore
-    //! overlap and do not sum to wall time.
+    //! and in the central and disaggregated loops it also runs the
+    //! members' own engine rounds in place, admission scans included; on
+    //! a disaggregated replay it runs the prefill tier's prefills and
+    //! handoffs in place too. Phase times therefore overlap and do not
+    //! sum to wall time.
 
     use serde::{Deserialize, Serialize};
 
@@ -1379,7 +1381,8 @@ pub mod profile {
         /// Wall-clock seconds inside leapfrog replays. Includes the
         /// stretch planning they nest and the member rounds they run in
         /// place, so the admission scans of those rounds count here as
-        /// well as in `admission_s`.
+        /// well as in `admission_s`. On disaggregated replays it also
+        /// includes the prefills and handoffs run in place.
         pub leapfrog_s: f64,
         /// Admission rounds (engine-iteration admission scans).
         pub admission_rounds: u64,

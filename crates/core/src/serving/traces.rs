@@ -418,16 +418,8 @@ impl TraceSource for SharedPrefixTraceConfig {
             let unique = rng.gen_range(self.unique_prompt_tokens.0..=self.unique_prompt_tokens.1);
             let output = rng.gen_range(self.output_tokens.0..=self.output_tokens.1);
             if shared < self.share_fraction {
-                // Inverse-CDF Zipf draw.
-                let mut pick = (rng.gen::<f64>()) * total;
-                let mut prefix_id = self.prefixes - 1;
-                for (k, w) in weights.iter().enumerate() {
-                    if pick < *w {
-                        prefix_id = k as u32;
-                        break;
-                    }
-                    pick -= w;
-                }
+                let pick = (rng.gen::<f64>()) * total;
+                let prefix_id = zipf_rank(&weights, pick).map_or(self.prefixes - 1, |k| k as u32);
                 let p = prefix_len[prefix_id as usize];
                 trace.push(
                     RequestSpec::new(id, clock, p + unique, output)
@@ -439,6 +431,33 @@ impl TraceSource for SharedPrefixTraceConfig {
         }
         Ok(trace)
     }
+}
+
+/// Inverse-CDF Zipf draw: the first rank at which `pick`, less the
+/// weights of every earlier rank (subtracted one at a time, in rank
+/// order), falls below that rank's weight; `None` past the last rank.
+/// The scan takes four ranks per loop trip, its float operations
+/// unchanged and in order: at one rank per trip, shared-prefix synthesis
+/// time swung by about a third with the loop's code alignment alone
+/// (2-vCPU Xeon), as unrelated code moved it.
+fn zipf_rank(weights: &[f64], mut pick: f64) -> Option<usize> {
+    let mut quads = weights.chunks_exact(4);
+    for (q, w) in quads.by_ref().enumerate() {
+        for (j, &wj) in w.iter().enumerate() {
+            if pick < wj {
+                return Some(4 * q + j);
+            }
+            pick -= wj;
+        }
+    }
+    let tail = weights.len() - quads.remainder().len();
+    for (j, &wj) in quads.remainder().iter().enumerate() {
+        if pick < wj {
+            return Some(tail + j);
+        }
+        pick -= wj;
+    }
+    None
 }
 
 /// A trace recorded as CSV text: one `arrival_s,prompt_tokens,output_tokens`
@@ -855,6 +874,33 @@ mod tests {
         .requests()
         .unwrap();
         assert!(all.iter().all(|r| r.prefix.is_some()));
+    }
+
+    #[test]
+    fn zipf_rank_matches_a_one_rank_scan() {
+        let scan = |weights: &[f64], mut pick: f64| {
+            for (k, w) in weights.iter().enumerate() {
+                if pick < *w {
+                    return Some(k);
+                }
+                pick -= w;
+            }
+            None
+        };
+        // Lengths on and off the four-rank stride, picks from the head
+        // to past the total.
+        for n in [1usize, 3, 4, 7, 64, 4097] {
+            let weights: Vec<f64> = (1..=n).map(|k| (k as f64).powf(-1.2)).collect();
+            let total: f64 = weights.iter().sum();
+            for i in 0..=200 {
+                let pick = total * f64::from(i) / 199.0;
+                assert_eq!(
+                    zipf_rank(&weights, pick),
+                    scan(&weights, pick),
+                    "n {n}, pick {pick}"
+                );
+            }
+        }
     }
 
     #[test]

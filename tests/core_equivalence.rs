@@ -12,8 +12,8 @@ use llm_workload::model::{ModelZoo, TransformerConfig};
 use llm_workload::Parallelism;
 use optimus::serving::{
     AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane, CountingObserver,
-    DecodePricing, DispatchMode, EventHeap, MaxWaitGuardPolicy, RequestSpec, RoutingPolicy,
-    Scenario, SharedPrefixTraceConfig, SimCore, SimObserver, SjfPolicy, SloClass,
+    DecodePricing, DispatchMode, EventHeap, HandoffLink, MaxWaitGuardPolicy, RequestSpec,
+    RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore, SimObserver, SjfPolicy, SloClass,
     StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
 };
 use optimus::MultiBladeSystem;
@@ -499,7 +499,6 @@ fn cluster_observer_event_streams_are_identical_between_cores() {
     });
 }
 
-/// A random sorted trace over exact (dyadic) arrival times.
 /// One observer callback, as `(hook, blade, clock bits, a, b)`: `a` and
 /// `b` are the hook's payload (request id, step cost bits, batch, KV
 /// tokens, ...), so two logs are equal only if every callback fired in
@@ -758,6 +757,7 @@ fn first_divergence(event: &[Call], step: &[Call]) -> Option<usize> {
     Some(at)
 }
 
+/// A random sorted trace over exact (dyadic) arrival times.
 fn arb_trace() -> impl Strategy<Value = Vec<RequestSpec>> {
     prop::collection::vec((0u32..48, 8u32..260, 1u32..48), 4..20).prop_map(|specs| {
         let mut arrivals: Vec<f64> = specs
@@ -861,6 +861,83 @@ proptest! {
             u64::from(event.report.completed) + event.report.shed_requests,
             trace.len() as u64
         );
+    }
+
+    /// Random disaggregated scenarios — 1–3 prefill × 1–4 decode blades,
+    /// max batch 1–6, unconstrained or evicting KV (victims re-stream
+    /// over the link), FCFS, SJF or a clock-ordered policy, prefix
+    /// caching on the prefill tier on or off, the fabric's link or an
+    /// instant one (a handoff lands at its prefill's end, so prefill and
+    /// decode actions tie on the clock) — replayed with a recording
+    /// observer: the event core's decode-pool leapfrog, with its in-place
+    /// prefills and rounds, reproduces the per-step core's callback log
+    /// call by call.
+    #[test]
+    fn disaggregated_observer_logs_agree_on_random_scenarios(
+        trace in arb_central_trace(),
+        prefill in 1u32..4,
+        decode in 1u32..5,
+        max_batch in 1u32..7,
+        kv in 0usize..3,
+        policy in 0usize..3,
+        prefix in any::<bool>(),
+        instant in any::<bool>(),
+    ) {
+        let system = MultiBladeSystem::new(4).unwrap();
+        let model = ModelZoo::llama2_7b();
+        let par = Parallelism::new(1, 1, 1).unwrap();
+        let per_token = per_token_bytes(&system, &model);
+        // Two shared system prompts, tagged by request id as in
+        // `cores_agree_on_random_scenarios`.
+        let trace: Vec<RequestSpec> = if prefix {
+            trace
+                .iter()
+                .map(|r| {
+                    let (id, tokens) = if r.id % 2 == 0 { (0, 48) } else { (1, 96) };
+                    if r.prompt_tokens > tokens {
+                        r.with_prefix(id, tokens)
+                    } else {
+                        *r
+                    }
+                })
+                .collect()
+        } else {
+            trace
+        };
+        let build = || {
+            let mut s = Scenario::new(&system)
+                .model(&model)
+                .parallelism(&par)
+                .max_batch(max_batch)
+                .topology(Topology::disaggregated(prefill, decode))
+                .requests(trace.clone());
+            s = match kv {
+                0 => s.unconstrained_kv(),
+                1 => s.kv_capacity_bytes(per_token * 384.0 * 1.7),
+                _ => s.kv_capacity_bytes(per_token * 384.0 * 1.2),
+            };
+            s = match policy {
+                0 => s,
+                1 => s.policy(SjfPolicy),
+                _ => s.policy(MaxWaitGuardPolicy::new(0.25)),
+            };
+            if prefix {
+                s = s.prefix_caching(16);
+            }
+            if instant {
+                // Transfers of ~1e-300 s vanish when added to a clock.
+                s = s.handoff(HandoffLink {
+                    bytes_per_s: f64::MAX,
+                    latency_s: 0.0,
+                });
+            }
+            s
+        };
+        let (event, event_log) = recorded(&build, SimCore::EventDriven);
+        let (per_step, step_log) = recorded(&build, SimCore::PerStep);
+        prop_assert_eq!(&event, &per_step);
+        prop_assert_eq!(first_divergence(&event_log, &step_log), None);
+        prop_assert_eq!(u64::from(event.report.completed), trace.len() as u64);
     }
 }
 
