@@ -1,17 +1,13 @@
 //! Criterion bench: scenario-compiled serving replays — single blade,
 //! the cluster loop at 1/4/16 blades, the disaggregated prefill→decode
-//! loop, the prefix-cached shared-prompt replay, and the simulation-core
-//! scaling trend (event-driven vs per-step on the diurnal trace).
+//! loop and the prefix-cached shared-prompt replay. The replay core's
+//! end-to-end and per-layer numbers come from `perfbench/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_workload::{ModelZoo, Parallelism};
-use optimus::serving::{
-    DispatchMode, HandoffLink, RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore, Topology,
-    TraceConfig,
-};
-use optimus::{InferenceEstimator, MultiBladeSystem, SpeedupStudy};
+use optimus::serving::{RoutingPolicy, Scenario, SharedPrefixTraceConfig, Topology, TraceConfig};
+use optimus::{InferenceEstimator, MultiBladeSystem};
 use scd_arch::Blade;
-use scd_bench::core_bench::diurnal_workload;
 use scd_tech::units::Bandwidth;
 use std::hint::black_box;
 
@@ -126,81 +122,5 @@ fn bench_prefix_caching(c: &mut Criterion) {
     }
 }
 
-/// The core-scaling trend behind `BENCH_serving_core.json`: the event
-/// core at 10k/100k/1M diurnal requests against the per-step reference
-/// at 10k/100k, plus the leapfrogged multi-blade event loops — 4-blade
-/// central dispatch and the 2P+2D disaggregated topology — at 10k/100k.
-/// The per-step million-request point is omitted — its idle-gap scan is
-/// quadratic in trace length (minutes per iteration), which is exactly
-/// the cost the event core removes.
-fn bench_core_trend(c: &mut Criterion) {
-    let model = ModelZoo::llama_405b();
-    let par = Parallelism::pure_tp(64).unwrap();
-    let points: [(SimCore, &str, &[u32]); 2] = [
-        (SimCore::EventDriven, "event", &[10_000, 100_000, 1_000_000]),
-        (SimCore::PerStep, "per_step", &[10_000, 100_000]),
-    ];
-    for (core, name, sizes) in points {
-        for &requests in sizes {
-            let compiled = Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
-                .model(&model)
-                .parallelism(&par)
-                .max_batch(32)
-                .core(core)
-                .trace(&diurnal_workload(requests))
-                .compile()
-                .unwrap();
-            c.bench_function(&format!("serving/core_{name}_{requests}_requests"), |b| {
-                b.iter(|| black_box(&compiled).run().unwrap())
-            });
-        }
-    }
-    // The multi-blade event loops the stretch-horizon fast-forward
-    // accelerates, mirroring the `cluster_event`/`disagg_event` rows of
-    // the committed trajectory (criterion keeps the 1M points out of the
-    // default run's time budget).
-    for requests in [10_000u32, 100_000] {
-        let central = Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
-            .model(&model)
-            .parallelism(&par)
-            .max_batch(32)
-            .core(SimCore::EventDriven)
-            .topology(Topology::mixed(4))
-            .dispatch(DispatchMode::Central)
-            .trace(&diurnal_workload(requests))
-            .compile()
-            .unwrap();
-        c.bench_function(
-            &format!("serving/core_cluster_event_{requests}_requests"),
-            |b| b.iter(|| black_box(&central).run().unwrap()),
-        );
-        let disagg = Scenario::on_estimator(SpeedupStudy::paper_baseline().scd_inference())
-            .model(&model)
-            .parallelism(&par)
-            .max_batch(32)
-            .core(SimCore::EventDriven)
-            .topology(Topology::disaggregated(2, 2))
-            // Estimator-anchored scenarios carry no fabric to derive the
-            // prefill→decode link from; pin an NVLink-class one instead.
-            .handoff(HandoffLink {
-                bytes_per_s: 400e9,
-                latency_s: 5e-6,
-            })
-            .trace(&diurnal_workload(requests))
-            .compile()
-            .unwrap();
-        c.bench_function(
-            &format!("serving/core_disagg_event_{requests}_requests"),
-            |b| b.iter(|| black_box(&disagg).run().unwrap()),
-        );
-    }
-}
-
-criterion_group!(
-    benches,
-    bench_serving,
-    bench_cluster,
-    bench_prefix_caching,
-    bench_core_trend
-);
+criterion_group!(benches, bench_serving, bench_cluster, bench_prefix_caching);
 criterion_main!(benches);

@@ -5,18 +5,12 @@
 //! prefill/decode split, recorded-trace replay, cluster-cache
 //! coordination, SLO-class goodput).
 //!
-//! With `--bench-json` it instead runs the simulation-core scaling
-//! study (event-driven vs per-step at 10k/100k/1M diurnal requests) and
-//! appends a snapshot keyed to the current git revision onto the
-//! `BENCH_serving_core.json` trajectory in the current directory — the
-//! baseline whose latest entry the CI bench-smoke job gates against.
-//!
 //! With `--telemetry-csv <path>` it additionally runs the telemetry
 //! study and dumps its windowed diurnal series (cluster gauges,
 //! counters and per-window tail sketches) as wide-row CSV to `<path>`
 //! — the input for the plotting workflow in the README.
 fn main() -> Result<(), optimus::OptimusError> {
-    use scd_bench::{core_bench, extensions as ext, serving_experiments as srv};
+    use scd_bench::{extensions as ext, serving_experiments as srv};
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--telemetry-csv") {
         let path = args.get(i + 1).cloned().unwrap_or_else(|| {
@@ -29,19 +23,6 @@ fn main() -> Result<(), optimus::OptimusError> {
             reason: format!("writing {path}: {e}"),
         })?;
         println!("\nwrote {} windowed rows to {path}", study.windows.len());
-        return Ok(());
-    }
-    if std::env::args().any(|a| a == "--bench-json") {
-        let rows = core_bench::core_scaling_study()?;
-        print!("{}", core_bench::render_core_scaling(&rows));
-        let existing = std::fs::read_to_string("BENCH_serving_core.json").ok();
-        let json = core_bench::append_snapshot(existing.as_deref(), rows, &core_bench::git_rev());
-        std::fs::write("BENCH_serving_core.json", &json).map_err(|e| {
-            optimus::OptimusError::Serving {
-                reason: format!("writing BENCH_serving_core.json: {e}"),
-            }
-        })?;
-        println!("\nwrote BENCH_serving_core.json");
         return Ok(());
     }
     let hr = "=".repeat(72);

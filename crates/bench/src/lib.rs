@@ -8,7 +8,6 @@
 
 #![warn(missing_docs)]
 
-pub mod core_bench;
 pub mod extensions;
 pub mod inference_experiments;
 pub mod l2_study;

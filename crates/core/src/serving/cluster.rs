@@ -23,8 +23,8 @@ use super::engine::{
     finalize, BladeState, CostTable, Outcome, ReplayTotals, ServingSimulator, SimCore,
 };
 use super::events::{
-    leapfrog_decode, AdmissionQueue, CentralKeyedQueue, DecodeStretch, LeapfrogGates, MemberRounds,
-    ReadyWindow, SchedQueue, StretchHorizon, TrackedQueue,
+    leapfrog_decode, DecodeStretch, LeapfrogGates, MemberRounds, ReadyWindow, SchedQueue,
+    StretchHorizon, TrackedQueue,
 };
 use super::observer::{NoopObserver, SimObserver};
 use super::policy::OrderingContract;
@@ -413,25 +413,15 @@ pub struct ClusterSimulator<'a> {
 
 impl<'a> ClusterSimulator<'a> {
     /// Wraps a single-blade simulator (per-blade estimator, model, plan
-    /// and serving config) into a cluster of `cluster.blades` copies.
+    /// and serving config) into a cluster of `cluster.blades` copies:
+    /// the one validated constructor, which
+    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnels
+    /// into.
     ///
     /// # Errors
     ///
-    /// Returns [`OptimusError::Serving`] for a zero-blade cluster and
-    /// propagates single-blade validation failures.
-    #[deprecated(
-        since = "0.5.0",
-        note = "build cluster runs through `serving::Scenario` with a `.topology(...)` \
-                (see the README migration table); this shim delegates to the same \
-                validated core the scenario builder compiles into"
-    )]
-    pub fn new(sim: ServingSimulator<'a>, cluster: ClusterConfig) -> Result<Self, OptimusError> {
-        Self::from_parts(sim, cluster)
-    }
-
-    /// The one validated constructor both [`Self::new`] and
-    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnel
-    /// into.
+    /// Returns [`OptimusError::Serving`] for a zero-blade cluster or an
+    /// invalid autoscaler.
     pub(crate) fn from_parts(
         sim: ServingSimulator<'a>,
         cluster: ClusterConfig,
@@ -440,27 +430,17 @@ impl<'a> ClusterSimulator<'a> {
         Ok(Self { sim, cluster })
     }
 
-    /// The cluster configuration in force.
-    #[must_use]
-    pub fn cluster_config(&self) -> &ClusterConfig {
-        &self.cluster
-    }
-
-    /// The per-blade simulator.
-    #[must_use]
-    pub fn blade_sim(&self) -> &ServingSimulator<'a> {
-        &self.sim
-    }
-
     /// Replays the trace across the cluster with the cost table built on
     /// rayon workers and (under per-blade dispatch) blades replayed
-    /// concurrently. Bit-identical to [`Self::replay_serial`].
+    /// concurrently. Bit-identical to [`Self::replay_observed`] with a
+    /// passive observer.
     ///
     /// # Errors
     ///
-    /// As for [`ServingSimulator::replay`], plus [`OptimusError::Serving`]
-    /// for a replay that wedges with requests pending.
-    pub fn replay(&self, trace: &[RequestSpec]) -> Result<ClusterReport, OptimusError> {
+    /// Returns [`OptimusError::Serving`] for an empty or degenerate
+    /// trace, a request that can never fit the KV capacity, or a replay
+    /// that wedges with requests pending; propagates estimation errors.
+    pub(crate) fn replay(&self, trace: &[RequestSpec]) -> Result<ClusterReport, OptimusError> {
         let table = self.sim.cost_table(trace, true)?;
         self.run(trace, &table, true, &mut NoopObserver)
     }
@@ -481,17 +461,6 @@ impl<'a> ClusterSimulator<'a> {
         self.run(trace, &table, false, obs)
     }
 
-    /// Serial reference implementation of [`Self::replay`], kept as the
-    /// ground truth for the rayon-equivalence test in CI.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`].
-    pub fn replay_serial(&self, trace: &[RequestSpec]) -> Result<ClusterReport, OptimusError> {
-        let table = self.sim.cost_table(trace, false)?;
-        self.run(trace, &table, false, &mut NoopObserver)
-    }
-
     /// Replays the same trace under several cluster configurations —
     /// routing/dispatch/blade-count sweeps — building the iteration-cost
     /// table once (it depends only on the per-blade engine and the trace,
@@ -505,7 +474,7 @@ impl<'a> ClusterSimulator<'a> {
     ///
     /// As for [`Self::replay`], plus [`OptimusError::Serving`] for a
     /// zero-blade entry.
-    pub fn replay_each(
+    pub(crate) fn replay_each(
         &self,
         trace: &[RequestSpec],
         configs: &[ClusterConfig],
@@ -526,7 +495,7 @@ impl<'a> ClusterSimulator<'a> {
     /// # Errors
     ///
     /// As for [`Self::replay_each`].
-    pub fn replay_each_serial(
+    pub(crate) fn replay_each_serial(
         &self,
         trace: &[RequestSpec],
         configs: &[ClusterConfig],
@@ -648,11 +617,7 @@ impl<'a> ClusterSimulator<'a> {
         let (states, outcomes, ctl) = match (cluster.dispatch, self.sim.config().core) {
             (DispatchMode::PerBlade, _) => self.run_per_blade(cluster, trace, table, parallel, obs),
             (DispatchMode::Central, SimCore::EventDriven) => {
-                if self.sim.policy().ordering() == OrderingContract::StaticKey {
-                    self.run_central_event_keyed(cluster, trace, table, scale.as_mut(), obs)?
-                } else {
-                    self.run_central_event(cluster, trace, table, scale.as_mut(), obs)?
-                }
+                self.run_central_event(cluster, trace, table, scale.as_mut(), obs)?
             }
             (DispatchMode::Central, SimCore::PerStep) => {
                 self.run_central(cluster, trace, table, scale.as_mut(), obs)?
@@ -830,11 +795,12 @@ impl<'a> ClusterSimulator<'a> {
         Ok((states, outcomes, ctl))
     }
 
-    /// Event-driven twin of [`Self::run_central`]: the same round
-    /// structure and bit-identical reports, but the per-round O(queue)
-    /// scans — the next-ready fold, the FCFS no-op re-sort, the
-    /// eligibility partition — are replaced by a lazy ready-time window
-    /// plus membership bookkeeping, each skipped whenever its outcome is
+    /// Event-driven twin of [`Self::run_central`] for every
+    /// [`OrderingContract`]: the same round structure and bit-identical
+    /// reports, but the per-round O(queue) work — the next-ready fold,
+    /// the policy re-sort, the eligibility partition — is replaced by a
+    /// lazy ready-time window, an incrementally ordered [`SchedQueue`]
+    /// and membership bookkeeping, each skipped whenever its outcome is
     /// provably the identity.
     ///
     /// After each round the loop fast-forwards the blades through their
@@ -844,8 +810,9 @@ impl<'a> ClusterSimulator<'a> {
     /// place through [`PoolRounds::round`], the body this loop runs.
     /// The leapfrog returns the requests those rounds completed or shed
     /// and this loop adds them to `served`. Control comes back here only
-    /// when an idle blade's pickup is due, or when a round leaves FCFS
-    /// victims queued (skipped partitions turn observable).
+    /// when an idle blade's pickup is due, or when a round leaves victims
+    /// queued in an FCFS or keyed queue (skipped partitions turn
+    /// observable).
     fn run_central_event(
         &self,
         cluster: ClusterConfig,
@@ -856,13 +823,12 @@ impl<'a> ClusterSimulator<'a> {
     ) -> Result<Replayed, OptimusError> {
         let blades = cluster.blades as usize;
         let ctx = self.sim.ctx(table);
-        let queue = ServingSimulator::arrival_queue(trace);
+        let arrival_order = ServingSimulator::arrival_queue(trace);
         let mut central = PoolRounds {
             ctx: &ctx,
             trace,
-            fcfs: self.sim.policy().ordering() == OrderingContract::Fcfs,
-            book: ReadyBook::new(trace, &queue),
-            queue,
+            book: ReadyBook::new(trace, &arrival_order),
+            queue: SchedQueue::new(self.sim.policy(), trace, arrival_order),
             victims: Vec::new(),
             outcomes: vec![Outcome::default(); trace.len()],
             ctl: self.sim.control_state(trace.len()),
@@ -887,8 +853,7 @@ impl<'a> ClusterSimulator<'a> {
             served += central.round(blade, None, obs);
             if let Some(sc) = scale.as_deref_mut() {
                 let now = states[b].clock;
-                let ready = &central.book.ready;
-                let depth = central.queue.iter().filter(|&&i| ready[i] <= now).count();
+                let depth = central.queue.ready_depth(&central.book.ready, now);
                 autoscale_round(sc, &mut states, now, depth, obs);
                 let next_ready = central.book.next_ready();
                 central_decode_stretch(
@@ -905,126 +870,10 @@ impl<'a> ClusterSimulator<'a> {
                     obs,
                 );
             } else {
-                served += central_leapfrog(
-                    &ctx,
-                    trace,
-                    &mut states,
-                    LeapfrogQueue::Deque(&mut central),
-                    obs,
-                );
+                served += central_leapfrog(&ctx, trace, &mut states, &mut central, obs);
             }
         }
         Ok((states, central.outcomes, central.ctl))
-    }
-
-    /// Central-dispatch event loop specialized for
-    /// [`OrderingContract::StaticKey`] policies (SJF, strict priority):
-    /// instead of re-running the policy's O(n log n) stable sort over the
-    /// shared queue every round, arrived requests live in an
-    /// incrementally maintained ordered set keyed by
-    /// `(order_key, insertion seq)` — the single-blade event core's
-    /// [`CentralKeyedQueue`] — extended with the central loop's ready-time
-    /// semantics: victims whose re-entry time is still in the chosen
-    /// blade's future are *extracted* for the round (the per-step loop's
-    /// eligibility partition moves them behind every eligible request,
-    /// where the admission scan never looks) and re-inserted afterwards
-    /// with fresh sequence numbers (the partition demotes a blocked
-    /// victim behind its key-ties, and every later stable sort keeps it
-    /// there). Bit-identical to [`Self::run_central`] by the same
-    /// argument as the single-blade keyed queue, plus: a round's
-    /// admission scan sees exactly the eligible requests in key order,
-    /// and stops at batch/KV limits only — never at a blocked victim
-    /// parked mid-order.
-    ///
-    /// Its leapfrog runs no rounds in place: a member reaching its own
-    /// gate ends the leapfrog, and the round runs here.
-    fn run_central_event_keyed(
-        &self,
-        cluster: ClusterConfig,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        mut scale: Option<&mut ScaleState>,
-        obs: &mut dyn SimObserver,
-    ) -> Result<Replayed, OptimusError> {
-        let blades = cluster.blades as usize;
-        let ctx = self.sim.ctx(table);
-        let mut ctl = self.sim.control_state(trace.len());
-        let arrival_order = ServingSimulator::arrival_queue(trace);
-        // Capture the sorted arrival axis before the keyed queue consumes
-        // the arrival-ordered index list (traces themselves may arrive
-        // unsorted; `arrival_queue` is what sorts them).
-        let mut book = ReadyBook::new(trace, &arrival_order);
-        let mut queue = CentralKeyedQueue::new(self.sim.policy(), trace, arrival_order);
-        let mut outcomes = vec![Outcome::default(); trace.len()];
-        let mut states: Vec<BladeState> = (0..blades)
-            .map(|b| BladeState::new(b as u32, 0.0, self.sim.config().prefix))
-            .collect();
-        let mut victims: Vec<usize> = Vec::new();
-        let mut served = 0u32;
-        while served < trace.len() as u32 {
-            let next_ready = book.next_ready();
-            let active = scale.as_deref().map_or(blades, |s| s.active() as usize);
-            let Some((at, b)) = next_blade(&states, 0..active, queue.is_empty(), next_ready) else {
-                return Err(wedged("central", served, trace.len()));
-            };
-            let blade = &mut states[b];
-            if blade.running.is_empty() {
-                blade.clock = blade.clock.max(at);
-            }
-            let clock = blade.clock;
-            queue.prepare(clock, trace);
-            // Only re-queued victims can be arrived-but-not-ready, so the
-            // extraction scan runs only while victims are in the queue.
-            if book.victims_in_queue > 0 {
-                queue.extract_blocked(clock, &book.ready);
-            }
-            victims.clear();
-            served += ctx.step(
-                trace,
-                &book.ready,
-                &mut queue,
-                blade,
-                &mut outcomes,
-                Some(&mut victims),
-                None,
-                ctl.as_mut(),
-                obs,
-            );
-            let at = states[b].clock;
-            book.record_round(&queue.admitted, &victims, |_| at);
-            queue.admitted.clear();
-            queue.restore_blocked();
-            // Any ordering policy may run here (this loop serves
-            // StaticKey dispatch), so blocked victims always partition
-            // observably: their extraction depends on the stepping
-            // blade's clock relative to each victim's re-entry time.
-            if let Some(sc) = scale.as_deref_mut() {
-                let now = states[b].clock;
-                let depth = queue.ready_depth(&book.ready, now);
-                autoscale_round(sc, &mut states, now, depth, obs);
-                let next_ready = book.next_ready();
-                central_decode_stretch(
-                    &ctx,
-                    trace,
-                    &mut states,
-                    b,
-                    queue.is_empty(),
-                    next_ready,
-                    book.victims_in_queue > 0,
-                    sc,
-                    depth,
-                    &book,
-                    obs,
-                );
-            } else {
-                let keyed = LeapfrogQueue::Keyed {
-                    book: &mut book,
-                    empty: queue.is_empty(),
-                };
-                central_leapfrog(&ctx, trace, &mut states, keyed, obs);
-            }
-        }
-        Ok((states, outcomes, ctl))
     }
 }
 
@@ -1190,14 +1039,14 @@ impl ReadyBook {
 }
 
 /// A blade pool's shared queue and the one round body its event loop and
-/// that loop's leapfrog both run: the FCFS / clock-ordered central loop's
-/// blades, or a disaggregated loop's decode pool (`restream` set).
+/// that loop's leapfrog both run: the central loop's blades, or a
+/// disaggregated loop's decode pool (`restream` set).
 struct PoolRounds<'c> {
     ctx: &'c EngineCtx<'c>,
     trace: &'c [RequestSpec],
-    /// Whether the policy keeps arrival order (no per-round re-sort).
-    fcfs: bool,
-    queue: VecDeque<usize>,
+    /// Central pools: [`SchedQueue::new`] for the policy. Decode pools:
+    /// FCFS, else re-sorted whole every round (handoffs append to it).
+    queue: SchedQueue,
     book: ReadyBook,
     /// Scratch: the current round's preemption victims.
     victims: Vec<usize>,
@@ -1209,11 +1058,11 @@ struct PoolRounds<'c> {
 }
 
 impl PoolRounds<'_> {
-    /// Runs `blade`'s round at its current clock: re-sort the queue for a
-    /// clock-ordered policy, partition it so requests not yet ready go
-    /// behind ready ones, step the engine (victims re-queued, shedding
-    /// gate applied, `prefilled` requests admitted straight to decode)
-    /// and record the round's queue changes. Returns the requests it
+    /// Runs `blade`'s round at its current clock: bring the queue order
+    /// up to date, partition it so requests not yet ready go behind
+    /// ready ones, step the engine (victims re-queued, shedding gate
+    /// applied, `prefilled` requests admitted straight to decode) and
+    /// record the round's queue changes. Returns the requests it
     /// completed or shed.
     fn round(
         &mut self,
@@ -1222,38 +1071,15 @@ impl PoolRounds<'_> {
         obs: &mut dyn SimObserver,
     ) -> u32 {
         let clock = blade.clock;
-        if !self.fcfs {
-            self.ctx
-                .policy
-                .order_queue(clock, self.trace, &mut self.queue);
-        }
-        // The eligibility partition is the identity when no victim
-        // re-entry times disturb the FCFS arrival order (central pools
-        // only: handoff ready times are not queue-ordered), when every
-        // member is already eligible, or when none is.
-        let book = &mut self.book;
-        let skip_partition = (self.fcfs && self.restream.is_none() && book.victims_in_queue == 0)
-            || book
-                .window
-                .max(&book.in_queue, &book.ready)
-                .is_none_or(|t| t <= clock)
-            || book
-                .window
-                .min(&book.in_queue, &book.ready)
-                .is_none_or(|t| t > clock);
-        if !skip_partition {
-            let ready = &book.ready;
-            let (eligible, waiting): (Vec<usize>, Vec<usize>) =
-                self.queue.iter().copied().partition(|&i| ready[i] <= clock);
-            self.queue.clear();
-            self.queue.extend(eligible);
-            self.queue.extend(waiting);
+        self.queue.prepare(clock, self.trace, self.ctx.policy);
+        if self.partition_moves(clock) {
+            self.queue.partition(clock, &self.book.ready);
         }
         self.victims.clear();
         let mut tracked = TrackedQueue::new(&mut self.queue);
         let served = self.ctx.step(
             self.trace,
-            &book.ready,
+            &self.book.ready,
             &mut tracked,
             blade,
             &mut self.outcomes,
@@ -1263,11 +1089,37 @@ impl PoolRounds<'_> {
             obs,
         );
         let at = blade.clock;
-        book.record_round(&tracked.admitted, &self.victims, |v| {
-            self.restream
-                .map_or(at, |link| at + kv_stream_s(self.ctx, link, &self.trace[v]))
-        });
+        self.book
+            .record_round(&tracked.admitted, &self.victims, |v| {
+                self.restream
+                    .map_or(at, |link| at + kv_stream_s(self.ctx, link, &self.trace[v]))
+            });
+        self.queue.restore_blocked();
         served
+    }
+
+    /// Whether the eligibility partition at `clock` can move anything.
+    /// A keyed queue re-sequences what it takes out, so it partitions
+    /// whenever a victim is queued (only victims can be arrived but not
+    /// ready). A deque's partition is the identity when no victim
+    /// re-entry times disturb the FCFS arrival order (central pools only:
+    /// handoff ready times are not queue-ordered), when every member is
+    /// already eligible, or when none is.
+    fn partition_moves(&mut self, clock: f64) -> bool {
+        let book = &mut self.book;
+        match self.queue {
+            SchedQueue::Keyed(_) => book.victims_in_queue > 0,
+            SchedQueue::Fcfs(_) if self.restream.is_none() && book.victims_in_queue == 0 => false,
+            _ => {
+                book.window
+                    .max(&book.in_queue, &book.ready)
+                    .is_some_and(|t| t > clock)
+                    && book
+                        .window
+                        .min(&book.in_queue, &book.ready)
+                        .is_some_and(|t| t <= clock)
+            }
+        }
     }
 
     /// [`LeapfrogGates::open_s`]: the next queued ready time, infinite
@@ -1282,12 +1134,11 @@ impl PoolRounds<'_> {
     }
 
     /// Whether skipped rounds of a central pool would re-partition the
-    /// queue observably: FCFS rounds with victims queued. Clock-ordered
-    /// policies re-sort from scratch each round, erasing any skipped
-    /// partition (their history-independence contract), and StaticKey
-    /// policies use the keyed loop.
+    /// queue observably: FCFS or keyed rounds with victims queued.
+    /// Clock-ordered policies re-sort from scratch each round, erasing
+    /// any skipped partition (their history-independence contract).
     fn partition_observable(&self) -> bool {
-        self.fcfs && self.book.victims_in_queue > 0
+        !matches!(self.queue, SchedQueue::Resort { .. }) && self.book.victims_in_queue > 0
     }
 }
 
@@ -1340,8 +1191,8 @@ fn autoscale_round(
 ///   earliest queued ready time; a full batch admits nothing, so the
 ///   queue only gates through the partition bound below.
 /// * **Eligibility partition** (`partition_observable`): when skipped
-///   rounds could re-partition the queue observably (FCFS with victims
-///   queued in the deque loop, any victim in the keyed loop), a full
+///   rounds could re-partition the queue observably (victims queued in
+///   an FCFS or keyed queue), a full
 ///   batch does not stretch while a queued victim is still blocked at
 ///   its clock ([`ReadyBook::victim_blocked_at`]). With none blocked,
 ///   every skipped partition is the identity.
@@ -1356,7 +1207,7 @@ fn autoscale_round(
 /// strict-class completions (the stretch plan ends before any
 /// completion) and sheds fire only at admission instants (excluded by
 /// the start gates above).
-#[allow(clippy::too_many_arguments)] // one call site per central loop
+#[allow(clippy::too_many_arguments)] // one call site
 fn central_decode_stretch(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
@@ -1428,20 +1279,6 @@ fn central_decode_stretch(
     }
 }
 
-/// The shared queue a central leapfrog gates on.
-enum LeapfrogQueue<'q, 'c> {
-    /// The FCFS / clock-ordered loop's: a member reaching its own gate
-    /// runs its round in place, unless skipped partitions are already
-    /// observable at entry (the full gate would move with every round).
-    Deque(&'q mut PoolRounds<'c>),
-    /// The keyed loop's: a member reaching its own gate ends the
-    /// leapfrog. Blocked victims always partition observably there.
-    Keyed {
-        book: &'q mut ReadyBook,
-        empty: bool,
-    },
-}
-
 /// The scale-free central fast-forward: every running blade joins one
 /// [`leapfrog_decode`] call that replays the skipped rounds in exact
 /// per-step order. Shared gate: an idle blade's next admission instant
@@ -1453,38 +1290,29 @@ enum LeapfrogQueue<'q, 'c> {
 /// clock ([`ReadyBook::victim_blocked_at`]), full members are gated at
 /// once and run their rounds for real.
 ///
-/// Returns the requests the leapfrog's in-place rounds served.
+/// A member reaching its own gate runs its round in place through
+/// `central`, under every ordering contract, unless skipped partitions
+/// are already observable at entry (the full gate would move with every
+/// round); then it ends the leapfrog. Returns the requests the in-place
+/// rounds served.
 fn central_leapfrog(
     ctx: &EngineCtx<'_>,
     trace: &[RequestSpec],
     states: &mut [BladeState],
-    mut queue: LeapfrogQueue<'_, '_>,
+    central: &mut PoolRounds<'_>,
     obs: &mut dyn SimObserver,
 ) -> u32 {
-    let (book, empty, observable) = match &mut queue {
-        LeapfrogQueue::Deque(c) => {
-            let observable = c.partition_observable();
-            (&mut c.book, c.queue.is_empty(), observable)
-        }
-        LeapfrogQueue::Keyed { book, empty } => {
-            let observable = book.victims_in_queue > 0;
-            (&mut **book, *empty, observable)
-        }
-    };
-    let next_ready = book.next_ready();
-    let open_s = if empty { f64::INFINITY } else { next_ready };
+    let observable = central.partition_observable();
+    let open_s = central.open_s();
     let Some(m) = LeapfrogMembers::among(ctx, states, 0..states.len(), open_s) else {
         return 0;
     };
-    let full_s = if m.any_full && observable && book.victim_blocked_at(m.min_clock) {
+    let full_s = if m.any_full && observable && central.book.victim_blocked_at(m.min_clock) {
         m.min_clock
     } else {
         f64::INFINITY
     };
-    let rounds: Option<&mut dyn MemberRounds> = match queue {
-        LeapfrogQueue::Deque(c) if !observable => Some(c),
-        _ => None,
-    };
+    let rounds: Option<&mut dyn MemberRounds> = (!observable).then_some(central);
     let gates = LeapfrogGates {
         idle_clock_s: m.idle_clock,
         open_s,
@@ -1736,8 +1564,8 @@ struct PrefillTier<'c> {
 impl<'c> PrefillTier<'c> {
     /// The tier of `roles`' prefill blades with every prompt queued. A
     /// `keyed` prompt queue is kept per the policy's ordering contract
-    /// ([`SchedQueue::new`]); otherwise it is re-sorted before every
-    /// prefill, as the per-step oracle does.
+    /// ([`SchedQueue::new`]); otherwise it is re-sorted whole before
+    /// every prefill, as the per-step oracle does.
     fn new(
         ctx: &'c EngineCtx<'c>,
         trace: &'c [RequestSpec],
@@ -1755,7 +1583,7 @@ impl<'c> PrefillTier<'c> {
         let queue = if keyed {
             SchedQueue::new(ctx.policy, trace, order)
         } else {
-            SchedQueue::Resort(order)
+            SchedQueue::resorted(order)
         };
         let mut tier = Self {
             ctx,
@@ -1824,8 +1652,7 @@ impl<'c> PrefillTier<'c> {
         // The prefill blade's cache changes below.
         blade.cached_plan = None;
         self.queue.prepare(blade.clock, self.trace, ctx.policy);
-        let idx = self.queue.peek().expect("prompt queue non-empty");
-        self.queue.pop();
+        let idx = self.queue.take().expect("prompt queue non-empty");
         let r = &self.trace[idx];
         let start = blade.clock.max(r.arrival_s);
         // Prefix caching on the prefill tier: a cached prefix skips its
@@ -2074,8 +1901,11 @@ fn run_disaggregated_event(
         pool: PoolRounds {
             ctx: &ctx,
             trace,
-            fcfs: sim.policy().ordering() == OrderingContract::Fcfs,
-            queue: VecDeque::new(),
+            queue: if sim.policy().ordering() == OrderingContract::Fcfs {
+                SchedQueue::Fcfs(VecDeque::new())
+            } else {
+                SchedQueue::resorted(VecDeque::new())
+            },
             book: ReadyBook::empty(trace),
             victims: Vec::new(),
             outcomes: vec![Outcome::default(); trace.len()],
@@ -2150,7 +1980,7 @@ fn disaggregated_leapfrog(
         let ready = &pool.book.ready;
         let mut blocked_ahead = false;
         let mut reorders = false;
-        for &i in &pool.queue {
+        for &i in pool.queue.deque().expect("decode pools keep a deque") {
             if ready[i] > m.min_clock {
                 blocked_ahead = true;
                 full_s = full_s.min(ready[i]);
@@ -2327,17 +2157,19 @@ mod tests {
     #[test]
     fn one_blade_round_robin_matches_single_engine() {
         // A 1-blade cluster is the single-blade engine with extra
-        // bookkeeping: the merged report must match exactly.
+        // bookkeeping: per-blade dispatch drives that engine over the
+        // whole trace, and central dispatch must match it exactly.
         let (est, model, par) = cluster_parts();
         let trace = test_trace();
-        let single = mk_sim(&est, &model, &par, ServingConfig::unconstrained(4))
-            .replay(&trace)
-            .unwrap();
-        for dispatch in [DispatchMode::PerBlade, DispatchMode::Central] {
-            let cluster = mk_cluster(&est, &model, &par, 1, RoutingPolicy::RoundRobin, dispatch)
+        let replay = |dispatch| {
+            mk_cluster(&est, &model, &par, 1, RoutingPolicy::RoundRobin, dispatch)
                 .replay(&trace)
-                .unwrap();
-            assert_eq!(cluster.report, single, "{dispatch:?}");
+                .unwrap()
+        };
+        let single = replay(DispatchMode::PerBlade);
+        let central = replay(DispatchMode::Central);
+        assert_eq!(central.report, single.report);
+        for cluster in [single, central] {
             assert_eq!(cluster.per_blade.len(), 1);
             assert_eq!(cluster.per_blade[0].requests, 32);
         }
@@ -2443,7 +2275,9 @@ mod tests {
         // Serial and parallel replays agree bit-for-bit for the new policy.
         assert_eq!(
             aware,
-            mk(RoutingPolicy::CacheAware).replay_serial(&trace).unwrap()
+            mk(RoutingPolicy::CacheAware)
+                .replay_observed(&trace, &mut NoopObserver)
+                .unwrap()
         );
     }
 
@@ -2492,7 +2326,7 @@ mod tests {
         let r = mk().replay(&trace).unwrap();
         assert_eq!(r.report.completed, 18);
         assert!(r.report.evictions > 0, "capacity this tight must preempt");
-        assert_eq!(r, mk().replay_serial(&trace).unwrap());
+        assert_eq!(r, mk().replay_observed(&trace, &mut NoopObserver).unwrap());
     }
 
     #[test]

@@ -12,12 +12,12 @@ use super::control::{AdmissionControl, ControlState};
 use super::coord::CoordPlan;
 use super::events::{AdmissionQueue, DecodeStretch, Gate, SchedQueue, StretchHorizon};
 use super::kv::KvLayout;
-use super::observer::{NoopObserver, SimObserver};
-use super::policy::{FcfsPolicy, SchedulerPolicy};
+use super::observer::SimObserver;
+use super::policy::SchedulerPolicy;
 use super::prefix::{CacheEviction, PrefixBlock, PrefixCache, PrefixCachingConfig, SharedPrefix};
-use super::report::{FrontierPoint, Percentiles, ServingReport, SloClass, SloClassReport};
+use super::report::{Percentiles, ServingReport, SloClass, SloClassReport};
 use super::telemetry::profile;
-use super::traces::{RequestSpec, TraceConfig};
+use super::traces::RequestSpec;
 use crate::error::OptimusError;
 use crate::inference::InferenceEstimator;
 use llm_workload::kvcache::{KvCache, KvConvention};
@@ -1339,30 +1339,8 @@ pub struct ServingSimulator<'a> {
 }
 
 impl<'a> ServingSimulator<'a> {
-    /// Creates a simulator with the default FCFS policy; validates the
-    /// configuration and model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for invalid configurations and
-    /// propagates model/parallelism validation failures.
-    #[deprecated(
-        since = "0.5.0",
-        note = "build serving runs through `serving::Scenario` (see the README migration \
-                table); this shim delegates to the same validated core the scenario \
-                builder compiles into"
-    )]
-    pub fn new(
-        estimator: &'a InferenceEstimator,
-        model: &'a TransformerConfig,
-        par: &'a Parallelism,
-        config: ServingConfig,
-    ) -> Result<Self, OptimusError> {
-        Self::from_parts(estimator, model, par, config, Box::new(FcfsPolicy), None)
-    }
-
-    /// The one validated constructor both [`Self::new`] and
-    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnel
+    /// The one validated constructor, which
+    /// [`Scenario::compile`](super::scenario::Scenario::compile) funnels
     /// into. `classes` of `None` installs the single default class
     /// carrying the config's global SLO pair (PR 3 semantics).
     pub(crate) fn from_parts(
@@ -1419,17 +1397,6 @@ impl<'a> ServingSimulator<'a> {
         })
     }
 
-    /// Swaps the scheduling policy (admission order + eviction victim).
-    #[deprecated(
-        since = "0.5.0",
-        note = "set the policy on the builder instead: `serving::Scenario::policy(...)`"
-    )]
-    #[must_use]
-    pub fn with_policy(mut self, policy: impl SchedulerPolicy + 'static) -> Self {
-        self.policy = Box::new(policy);
-        self
-    }
-
     /// The configuration in force.
     #[must_use]
     pub fn config(&self) -> &ServingConfig {
@@ -1478,63 +1445,6 @@ impl<'a> ServingSimulator<'a> {
             kv_bytes_per_token: self.kv_bytes_per_token,
             coord: self.coord.as_ref(),
         }
-    }
-
-    /// Replays the trace with the iteration-cost table built on rayon
-    /// workers. Bit-identical to [`Self::replay_serial`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimusError::Serving`] for an empty trace or a request
-    /// that can never fit the KV capacity; propagates estimation errors.
-    pub fn replay(&self, trace: &[RequestSpec]) -> Result<ServingReport, OptimusError> {
-        let table = self.cost_table(trace, true)?;
-        Ok(self.run(trace, &table, &mut NoopObserver))
-    }
-
-    /// Serial reference implementation of [`Self::replay`], kept as the
-    /// ground truth for the rayon-equivalence test in CI.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`].
-    pub fn replay_serial(&self, trace: &[RequestSpec]) -> Result<ServingReport, OptimusError> {
-        let table = self.cost_table(trace, false)?;
-        Ok(self.run(trace, &table, &mut NoopObserver))
-    }
-
-    /// Sweeps arrival rates into an SLO-vs-throughput frontier. Each rate
-    /// re-synthesizes `base` with the same seed and replays it; rates are
-    /// replayed concurrently (each replay is independent and
-    /// deterministic, so the frontier is too).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::replay`], plus trace-synthesis failures.
-    #[deprecated(
-        since = "0.5.0",
-        note = "build the scenario with `Scenario::poisson(...)` and sweep with \
-                `CompiledScenario::frontier(...)` instead"
-    )]
-    pub fn slo_frontier(
-        &self,
-        base: &TraceConfig,
-        rates: &[f64],
-    ) -> Result<Vec<FrontierPoint>, OptimusError> {
-        rates
-            .par_iter()
-            .map(|&rate| {
-                let trace = TraceConfig {
-                    arrival_rate_per_s: rate,
-                    ..*base
-                }
-                .synthesize()?;
-                Ok(FrontierPoint {
-                    arrival_rate_per_s: rate,
-                    report: self.replay_serial(&trace)?,
-                })
-            })
-            .collect()
     }
 
     fn kv_bytes(&self, tokens_cached: u64) -> f64 {
@@ -1691,36 +1601,5 @@ impl<'a> ServingSimulator<'a> {
                 .then(a.cmp(&b))
         });
         order.into_iter().collect()
-    }
-
-    /// The simulation loop proper: deterministic, shared by every replay
-    /// path, driven entirely by table lookups.
-    fn run(
-        &self,
-        trace: &[RequestSpec],
-        table: &CostTable,
-        obs: &mut dyn SimObserver,
-    ) -> ServingReport {
-        let ctx = self.ctx(table);
-        let mut outcomes = vec![Outcome::default(); trace.len()];
-        let mut ctl = self.control_state(trace.len());
-        let blade = ctx.drive_auto(
-            0,
-            trace,
-            Self::arrival_queue(trace),
-            &mut outcomes,
-            ctl.as_mut(),
-            obs,
-        );
-        let mut totals = ReplayTotals::default();
-        totals.absorb(&blade);
-        finalize(
-            &self.classes,
-            self.kv_bytes_per_token,
-            trace,
-            &outcomes,
-            &totals,
-            ctl.as_ref(),
-        )
     }
 }

@@ -149,14 +149,14 @@ impl ReadyWindow {
 
 /// The queue operations one engine iteration performs, abstracted so
 /// [`EngineCtx::step`](super::engine::EngineCtx) runs unchanged over a
-/// plain `VecDeque` (legacy loops), an incrementally ordered
+/// plain `VecDeque` (the per-step loops), an incrementally ordered
 /// [`SchedQueue`], or a [`TrackedQueue`] recording admissions.
 pub(crate) trait AdmissionQueue {
-    /// The next admission candidate (the legacy queue front).
+    /// The next admission candidate (the per-step queue front).
     fn peek(&self) -> Option<usize>;
     /// Removes the candidate just peeked (it was admitted).
     fn pop(&mut self);
-    /// Re-queues a preemption victim at the front (legacy `push_front`).
+    /// Re-queues a preemption victim at the front (per-step `push_front`).
     fn requeue_victim(&mut self, idx: usize);
 }
 
@@ -174,17 +174,17 @@ impl AdmissionQueue for VecDeque<usize> {
     }
 }
 
-/// A `VecDeque` wrapper recording which indices the engine iteration
-/// admitted, so the cluster event loops can maintain their membership
-/// flags and ready-time heaps incrementally.
+/// A [`SchedQueue`] wrapper recording which indices the engine iteration
+/// admitted (or shed), so the multi-blade event loops can maintain their
+/// membership flags and ready-time heaps incrementally.
 #[derive(Debug)]
 pub(crate) struct TrackedQueue<'a> {
-    queue: &'a mut VecDeque<usize>,
+    queue: &'a mut SchedQueue,
     pub(crate) admitted: Vec<usize>,
 }
 
 impl<'a> TrackedQueue<'a> {
-    pub(crate) fn new(queue: &'a mut VecDeque<usize>) -> Self {
+    pub(crate) fn new(queue: &'a mut SchedQueue) -> Self {
         Self {
             queue,
             admitted: Vec::new(),
@@ -194,17 +194,17 @@ impl<'a> TrackedQueue<'a> {
 
 impl AdmissionQueue for TrackedQueue<'_> {
     fn peek(&self) -> Option<usize> {
-        self.queue.front().copied()
+        self.queue.peek()
     }
 
     fn pop(&mut self) {
-        if let Some(idx) = self.queue.pop_front() {
+        if let Some(idx) = self.queue.take() {
             self.admitted.push(idx);
         }
     }
 
     fn requeue_victim(&mut self, idx: usize) {
-        self.queue.push_front(idx);
+        self.queue.requeue_victim(idx);
     }
 }
 
@@ -221,7 +221,7 @@ pub(crate) enum Gate {
 }
 
 /// Arrived requests of a [`SchedQueue::Keyed`] queue, ordered exactly as
-/// the legacy loop's repeated stable sorts would order them: by the
+/// the per-step loop's repeated stable sorts would order them: by the
 /// policy's clock-independent key, then by an insertion sequence that
 /// keeps new arrivals *behind* key-equals (stable-sort semantics for
 /// appended entries) and re-queued victims *ahead* of them (a victim
@@ -231,25 +231,38 @@ pub(crate) enum Gate {
 pub(crate) struct KeyedQueue {
     arrived: BTreeSet<(u64, i64, usize)>,
     /// Not-yet-arrived members, earliest first (the arrival-sorted tail
-    /// the legacy sort leaves untouched).
+    /// the per-step sort leaves untouched).
     future: VecDeque<usize>,
     /// `order_key` per trace index, precomputed once.
     keys: Vec<u64>,
     next_seq: i64,
     next_victim_seq: i64,
+    /// Members [`SchedQueue::partition`] took out for the current round
+    /// (arrived, but ready only after the stepping blade's clock), in
+    /// the `(key, seq)` order they held.
+    blocked: Vec<(u64, i64, usize)>,
 }
 
-/// The waiting queue of the single-blade event loop, specialized per
+/// The admission queue of every event loop, specialized per
 /// [`OrderingContract`]: FCFS keeps the plain deque untouched, static
 /// keys get an incrementally maintained ordered set, and clock-dependent
-/// policies fall back to re-sorting before each admission-capable
-/// iteration (their contract makes the skipped no-admission sorts
-/// unobservable).
+/// policies re-sort the arrived part before each admission-capable
+/// round (their contract makes skipped sorts unobservable). Keyed and
+/// clock-ordered queues keep not-yet-arrived requests in an
+/// arrival-ordered `future` tail that [`Self::prepare`] absorbs as the
+/// clock passes their arrivals, so no round pays for the unserved
+/// remainder of the trace.
 #[derive(Debug)]
 pub(crate) enum SchedQueue {
     Fcfs(VecDeque<usize>),
     Keyed(KeyedQueue),
-    Resort(VecDeque<usize>),
+    Resort {
+        /// The part `order_queue` sees: absorbed arrivals, victims and
+        /// appended handoffs.
+        ordered: VecDeque<usize>,
+        /// Not-yet-absorbed arrivals, earliest first.
+        future: VecDeque<usize>,
+    },
 }
 
 impl SchedQueue {
@@ -272,14 +285,32 @@ impl SchedQueue {
                     keys,
                     next_seq: 0,
                     next_victim_seq: -1,
+                    blocked: Vec::new(),
                 })
             }
-            OrderingContract::ClockDependent => Self::Resort(queue),
+            OrderingContract::ClockDependent => Self::Resort {
+                ordered: VecDeque::new(),
+                future: queue,
+            },
         }
     }
 
-    /// Brings the order up to date at `clock` — the moment the legacy
-    /// loop would have called `order_queue` before stepping.
+    /// A queue `prepare` hands to `order_queue` whole, every round (the
+    /// per-step oracle's prompt queue, and the disaggregated decode
+    /// pool's, which holds only handed-off requests).
+    pub(crate) fn resorted(queue: VecDeque<usize>) -> Self {
+        Self::Resort {
+            ordered: queue,
+            future: VecDeque::new(),
+        }
+    }
+
+    /// Brings the order up to date at `clock` — the moment the per-step
+    /// loop would have called `order_queue` before stepping. A
+    /// clock-ordered queue absorbs the arrivals up to `clock` and sorts
+    /// only its `ordered` part: the rest has not arrived, so the sort
+    /// would leave it behind in arrival order, and by the
+    /// [`SchedulerPolicy`] contract it cannot change the arrived order.
     pub(crate) fn prepare(
         &mut self,
         clock: f64,
@@ -298,228 +329,193 @@ impl SchedQueue {
                     kq.next_seq += 1;
                 }
             }
-            Self::Resort(queue) => policy.order_queue(clock, trace, queue),
+            Self::Resort { ordered, future } => {
+                while let Some(&i) = future.front() {
+                    if trace[i].arrival_s > clock {
+                        break;
+                    }
+                    future.pop_front();
+                    ordered.push_back(i);
+                }
+                policy.order_queue(clock, trace, ordered);
+            }
+        }
+    }
+
+    /// The round's eligibility partition at `clock`: members not ready
+    /// by then go behind the ready ones, so the admission scan's
+    /// head-of-line break means "nothing more is eligible". A deque is
+    /// stable-partitioned (a clock-ordered queue's `future` tail is
+    /// never ready and already behind). A keyed queue instead takes its
+    /// blocked members out for the round — always re-queued victims, as
+    /// fresh arrivals are ready when they arrive — and
+    /// [`Self::restore_blocked`] re-inserts them afterwards: the per-step
+    /// partition parks a blocked victim behind every eligible request,
+    /// and every later stable sort keeps it behind its key-ties.
+    pub(crate) fn partition(&mut self, clock: f64, ready: &[f64]) {
+        match self {
+            Self::Fcfs(q) | Self::Resort { ordered: q, .. } => {
+                let (eligible, waiting): (Vec<usize>, Vec<usize>) =
+                    q.iter().copied().partition(|&i| ready[i] <= clock);
+                q.clear();
+                q.extend(eligible);
+                q.extend(waiting);
+            }
+            Self::Keyed(kq) => {
+                debug_assert!(kq.blocked.is_empty());
+                kq.blocked.extend(
+                    kq.arrived
+                        .iter()
+                        .copied()
+                        .filter(|&(_, _, i)| ready[i] > clock),
+                );
+                for e in &kq.blocked {
+                    kq.arrived.remove(e);
+                }
+            }
+        }
+    }
+
+    /// Ends a round [`Self::partition`]ed a keyed queue for: the members
+    /// it took out re-enter with fresh sequence numbers, behind all of
+    /// their current key-ties (but still ahead of ties that arrive
+    /// later, which get larger sequence numbers still). A no-op for the
+    /// other queues.
+    pub(crate) fn restore_blocked(&mut self) {
+        if let Self::Keyed(kq) = self {
+            for (key, _, i) in std::mem::take(&mut kq.blocked) {
+                kq.arrived.insert((key, kq.next_seq, i));
+                kq.next_seq += 1;
+            }
+        }
+    }
+
+    /// Appends a disaggregated handoff to the ordered part.
+    pub(crate) fn push_back(&mut self, idx: usize) {
+        match self {
+            Self::Fcfs(q) => q.push_back(idx),
+            Self::Resort { ordered, future } => {
+                debug_assert!(future.is_empty(), "handoffs queue behind arrivals");
+                ordered.push_back(idx);
+            }
+            Self::Keyed(_) => unreachable!("handoff queues are never keyed"),
+        }
+    }
+
+    /// The deque an FCFS or clock-ordered queue keeps in queue order
+    /// (its `future` tail excluded); `None` for a keyed queue.
+    pub(crate) fn deque(&self) -> Option<&VecDeque<usize>> {
+        match self {
+            Self::Fcfs(q) | Self::Resort { ordered: q, .. } => Some(q),
+            Self::Keyed(_) => None,
         }
     }
 
     /// Whether any request is still waiting.
     pub(crate) fn is_empty(&self) -> bool {
         match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.is_empty(),
-            Self::Keyed(kq) => kq.arrived.is_empty() && kq.future.is_empty(),
+            Self::Fcfs(q) => q.is_empty(),
+            Self::Resort { ordered, future } => ordered.is_empty() && future.is_empty(),
+            Self::Keyed(kq) => {
+                kq.arrived.is_empty() && kq.future.is_empty() && kq.blocked.is_empty()
+            }
         }
     }
 
+    /// Queued requests ready to run at `now` (the autoscaler's depth
+    /// signal; a `future` tail is arrival-sorted and fresh, so its
+    /// prefix scan is exact).
+    pub(crate) fn ready_depth(&self, ready: &[f64], now: f64) -> usize {
+        let (arrived, future) = match self {
+            Self::Fcfs(q) => return q.iter().filter(|&&i| ready[i] <= now).count(),
+            Self::Resort { ordered, future } => {
+                (ordered.iter().filter(|&&i| ready[i] <= now).count(), future)
+            }
+            Self::Keyed(kq) => (
+                kq.arrived
+                    .iter()
+                    .filter(|&&(_, _, i)| ready[i] <= now)
+                    .count(),
+                &kq.future,
+            ),
+        };
+        arrived + future.iter().take_while(|&&i| ready[i] <= now).count()
+    }
+
     /// The arrival the idle-blade fast-forward should jump to, or `None`
-    /// when the legacy `clock.max(min arrival)` is provably a no-op
+    /// when the per-step `clock.max(min arrival)` is provably a no-op
     /// (some member already arrived). When `Some(t)` with `t > clock`,
     /// the head is guaranteed to be the earliest arrival: a front with a
     /// future arrival implies no re-queued victims (victims arrived in
     /// the past and sit at the front), so the queue is arrival-sorted.
     pub(crate) fn fast_forward_target(&self, trace: &[RequestSpec]) -> Option<f64> {
-        match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.front().map(|&i| trace[i].arrival_s),
-            Self::Keyed(kq) => {
-                if kq.arrived.is_empty() {
-                    kq.future.front().map(|&i| trace[i].arrival_s)
+        let head = match self {
+            Self::Fcfs(q) => q.front(),
+            Self::Resort { ordered, future } => {
+                if ordered.is_empty() {
+                    future.front()
                 } else {
                     None
                 }
             }
-        }
+            Self::Keyed(kq) => {
+                if kq.arrived.is_empty() {
+                    kq.future.front()
+                } else {
+                    None
+                }
+            }
+        };
+        head.map(|&i| trace[i].arrival_s)
     }
 
     /// Classifies the queue head for the decode-stretch gate at `clock`.
     /// Must be called after [`Self::prepare`] at the same clock.
     pub(crate) fn admission_gate(&self, trace: &[RequestSpec], clock: f64) -> Gate {
-        let head = match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.front().copied(),
-            Self::Keyed(kq) => {
-                if let Some(&(_, _, i)) = kq.arrived.first() {
-                    Some(i)
-                } else {
-                    kq.future.front().copied()
-                }
-            }
-        };
-        match head {
+        match self.peek() {
             None => Gate::Empty,
             Some(i) if trace[i].arrival_s <= clock => Gate::Ready,
             Some(i) => Gate::Blocked(trace[i].arrival_s),
         }
     }
-}
 
-/// The shared queue of the cluster's central-dispatch event loop under a
-/// [`OrderingContract::StaticKey`] policy: the incremental
-/// `(key, seq, idx)` ordering of [`KeyedQueue`], extended with the
-/// central loop's ready-time semantics. The legacy loop re-sorts the
-/// whole queue by key every round and then stable-partitions it by
-/// eligibility (`ready <= clock`); here arrivals absorb incrementally,
-/// and the partition's only observable effect — parking blocked victims
-/// behind every eligible request, demoting them behind their key-ties
-/// for all later rounds — is reproduced by *extracting* blocked victims
-/// for the round and re-inserting them with fresh sequence numbers.
-/// Admitted indices are recorded (as in [`TrackedQueue`]) for the
-/// caller's membership bookkeeping.
-#[derive(Debug)]
-pub(crate) struct CentralKeyedQueue {
-    arrived: BTreeSet<(u64, i64, usize)>,
-    /// Not-yet-arrived members, earliest first.
-    future: VecDeque<usize>,
-    /// `order_key` per trace index, precomputed once.
-    keys: Vec<u64>,
-    next_seq: i64,
-    next_victim_seq: i64,
-    /// Members extracted for the current round (arrived victims whose
-    /// re-entry time is still in the stepping blade's future), in the
-    /// `(key, seq)` order they held.
-    blocked: Vec<(u64, i64, usize)>,
-    /// Indices the engine admitted (or shed) this round.
-    pub(crate) admitted: Vec<usize>,
-}
-
-impl CentralKeyedQueue {
-    /// Wraps an arrival-ordered queue for a `StaticKey` policy.
-    pub(crate) fn new(
-        policy: &dyn SchedulerPolicy,
-        trace: &[RequestSpec],
-        queue: VecDeque<usize>,
-    ) -> Self {
-        debug_assert_eq!(policy.ordering(), OrderingContract::StaticKey);
-        let mut keys = vec![0u64; trace.len()];
-        for &i in &queue {
-            keys[i] = policy.order_key(&trace[i]);
+    /// Removes and returns the head. Admission always takes an arrived
+    /// head: `prepare` ran at this clock, so every member still in a
+    /// `future` tail has not arrived and the engine's ready check would
+    /// have broken before it.
+    pub(crate) fn take(&mut self) -> Option<usize> {
+        match self {
+            Self::Fcfs(q) => q.pop_front(),
+            Self::Resort { ordered, future } => ordered.pop_front().or_else(|| future.pop_front()),
+            Self::Keyed(kq) => kq
+                .arrived
+                .pop_first()
+                .map(|(_, _, i)| i)
+                .or_else(|| kq.future.pop_front()),
         }
-        Self {
-            arrived: BTreeSet::new(),
-            future: queue,
-            keys,
-            next_seq: 0,
-            next_victim_seq: -1,
-            blocked: Vec::new(),
-            admitted: Vec::new(),
-        }
-    }
-
-    /// Whether any request is still waiting.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.arrived.is_empty() && self.future.is_empty() && self.blocked.is_empty()
-    }
-
-    /// Absorbs arrivals up to `clock` — the arrived prefix the legacy
-    /// sort would have ordered this round.
-    pub(crate) fn prepare(&mut self, clock: f64, trace: &[RequestSpec]) {
-        while let Some(&i) = self.future.front() {
-            if trace[i].arrival_s > clock {
-                break;
-            }
-            self.future.pop_front();
-            self.arrived.insert((self.keys[i], self.next_seq, i));
-            self.next_seq += 1;
-        }
-    }
-
-    /// The round's eligibility partition: members whose ready time is
-    /// still in the future (always re-queued victims — fresh arrivals
-    /// are ready the moment they arrive) leave the set for the duration
-    /// of the step, so the admission scan sees exactly the eligible
-    /// requests in key order.
-    pub(crate) fn extract_blocked(&mut self, clock: f64, ready: &[f64]) {
-        debug_assert!(self.blocked.is_empty());
-        self.blocked.extend(
-            self.arrived
-                .iter()
-                .copied()
-                .filter(|&(_, _, i)| ready[i] > clock),
-        );
-        for e in &self.blocked {
-            self.arrived.remove(e);
-        }
-    }
-
-    /// Re-inserts the extracted members with fresh sequence numbers: the
-    /// legacy partition moved them behind every eligible request, so
-    /// every later stable sort keeps them behind all of their current
-    /// key-ties (but still ahead of ties that arrive later — which get
-    /// larger sequence numbers still).
-    pub(crate) fn restore_blocked(&mut self) {
-        let blocked = std::mem::take(&mut self.blocked);
-        for (key, _, i) in blocked {
-            self.arrived.insert((key, self.next_seq, i));
-            self.next_seq += 1;
-        }
-    }
-
-    /// Queue members ready to run at `now` (the autoscaler's depth
-    /// signal; the future tail is arrival-sorted, so the prefix scan is
-    /// exact).
-    pub(crate) fn ready_depth(&self, ready: &[f64], now: f64) -> usize {
-        self.arrived
-            .iter()
-            .filter(|&&(_, _, i)| ready[i] <= now)
-            .count()
-            + self.future.iter().take_while(|&&i| ready[i] <= now).count()
-    }
-}
-
-impl AdmissionQueue for CentralKeyedQueue {
-    fn peek(&self) -> Option<usize> {
-        if let Some(&(_, _, i)) = self.arrived.first() {
-            Some(i)
-        } else {
-            self.future.front().copied()
-        }
-    }
-
-    fn pop(&mut self) {
-        if let Some((_, _, i)) = self.arrived.pop_first() {
-            self.admitted.push(i);
-        } else if let Some(i) = self.future.pop_front() {
-            self.admitted.push(i);
-        }
-    }
-
-    fn requeue_victim(&mut self, idx: usize) {
-        self.arrived
-            .insert((self.keys[idx], self.next_victim_seq, idx));
-        self.next_victim_seq -= 1;
     }
 }
 
 impl AdmissionQueue for SchedQueue {
     fn peek(&self) -> Option<usize> {
         match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.front().copied(),
-            Self::Keyed(kq) => {
-                if let Some(&(_, _, i)) = kq.arrived.first() {
-                    Some(i)
-                } else {
-                    kq.future.front().copied()
-                }
-            }
+            Self::Fcfs(q) => q.front().copied(),
+            Self::Resort { ordered, future } => ordered.front().or(future.front()).copied(),
+            Self::Keyed(kq) => kq
+                .arrived
+                .first()
+                .map(|&(_, _, i)| i)
+                .or_else(|| kq.future.front().copied()),
         }
     }
 
     fn pop(&mut self) {
-        match self {
-            Self::Fcfs(q) | Self::Resort(q) => {
-                q.pop_front();
-            }
-            Self::Keyed(kq) => {
-                // Admission always pops an arrived head: `prepare` ran at
-                // this clock, so every not-yet-absorbed member is in the
-                // future and the engine's ready check would have broken.
-                if kq.arrived.pop_first().is_none() {
-                    kq.future.pop_front();
-                }
-            }
-        }
+        self.take();
     }
 
     fn requeue_victim(&mut self, idx: usize) {
         match self {
-            Self::Fcfs(q) | Self::Resort(q) => q.push_front(idx),
+            Self::Fcfs(q) | Self::Resort { ordered: q, .. } => q.push_front(idx),
             Self::Keyed(kq) => {
                 kq.arrived.insert((kq.keys[idx], kq.next_victim_seq, idx));
                 kq.next_victim_seq -= 1;
@@ -1275,40 +1271,61 @@ mod tests {
     fn central_keyed_queue_demotes_blocked_victims_like_the_partition() {
         // SJF keys: 2 is shortest, 0 and 1 are key-tied. A victim whose
         // re-entry time is in the future must sit out the round and then
-        // fall behind its key-ties, exactly as the legacy
+        // fall behind its key-ties, exactly as the per-step
         // sort-then-partition sequence would leave it.
         let trace = vec![
             RequestSpec::new(0, 0.0, 10, 5),
             RequestSpec::new(1, 0.0, 10, 5),
             RequestSpec::new(2, 0.0, 10, 2),
         ];
-        let mut q = CentralKeyedQueue::new(&SjfPolicy, &trace, (0..3).collect());
-        q.prepare(0.0, &trace);
+        let mut sq = SchedQueue::new(&SjfPolicy, &trace, (0..3).collect());
+        sq.prepare(0.0, &trace, &SjfPolicy);
         let mut ready = [0.0f64, 0.0, 0.0];
+        let mut q = TrackedQueue::new(&mut sq);
         assert_eq!(q.peek(), Some(2));
         q.pop();
         q.pop(); // admits 0 (stable tie keeps arrival order)
         assert_eq!(q.admitted, vec![2, 0]);
-        q.admitted.clear();
         // 0 is evicted; it re-enters at t=5.0, ahead of its tie 1 for now.
         q.requeue_victim(0);
         ready[0] = 5.0;
-        assert_eq!(q.peek(), Some(0));
-        // At t=1.0 the victim is blocked: extraction hides it from the
+        assert_eq!(sq.peek(), Some(0));
+        // At t=1.0 the victim is blocked: the partition hides it from the
         // scan, restore demotes it behind tie 1.
-        q.extract_blocked(1.0, &ready);
-        assert_eq!(q.peek(), Some(1));
-        q.restore_blocked();
-        assert_eq!(q.peek(), Some(1), "demoted victim stays behind its tie");
-        assert_eq!(q.ready_depth(&ready, 1.0), 1);
-        assert_eq!(q.ready_depth(&ready, 5.0), 2);
-        // Once ready, nothing is extracted and it runs after the tie.
-        q.extract_blocked(5.0, &ready);
-        q.restore_blocked();
+        sq.partition(1.0, &ready);
+        assert_eq!(sq.peek(), Some(1));
+        sq.restore_blocked();
+        assert_eq!(sq.peek(), Some(1), "demoted victim stays behind its tie");
+        assert_eq!(sq.ready_depth(&ready, 1.0), 1);
+        assert_eq!(sq.ready_depth(&ready, 5.0), 2);
+        // Once ready, nothing is taken out and it runs after the tie.
+        sq.partition(5.0, &ready);
+        sq.restore_blocked();
+        let mut q = TrackedQueue::new(&mut sq);
         q.pop();
         q.pop();
         assert_eq!(q.admitted, vec![1, 0]);
-        assert!(q.is_empty());
+        assert!(sq.is_empty());
+    }
+
+    #[test]
+    fn resort_queue_sorts_only_absorbed_arrivals() {
+        // A clock-ordered queue hands `order_queue` the arrivals up to the
+        // clock; the rest waits in arrival order behind them.
+        let trace = vec![
+            RequestSpec::new(0, 0.0, 10, 9),
+            RequestSpec::new(1, 0.0, 10, 2),
+            RequestSpec::new(2, 3.0, 10, 1),
+        ];
+        let guard = crate::serving::policy::MaxWaitGuardPolicy::new(100.0);
+        let mut sq = SchedQueue::new(&guard, &trace, (0..3).collect());
+        assert_eq!(sq.fast_forward_target(&trace), Some(0.0));
+        sq.prepare(1.0, &trace, &guard);
+        assert_eq!(sq.deque(), Some(&VecDeque::from([1, 0])));
+        assert_eq!(sq.fast_forward_target(&trace), None);
+        assert_eq!(sq.ready_depth(&[0.0, 0.0, 3.0], 3.0), 3);
+        sq.prepare(3.0, &trace, &guard);
+        assert_eq!(sq.deque(), Some(&VecDeque::from([2, 1, 0])));
     }
 
     #[test]
@@ -1328,14 +1345,15 @@ mod tests {
 
     #[test]
     fn tracked_queue_records_admissions_only() {
-        let mut q: VecDeque<usize> = VecDeque::from([4, 7]);
-        let mut tq = TrackedQueue::new(&mut q);
+        let trace: Vec<RequestSpec> = (0..10).map(|i| RequestSpec::new(i, 0.0, 8, 4)).collect();
+        let mut sq = SchedQueue::new(&FcfsPolicy, &trace, VecDeque::from([4, 7]));
+        let mut tq = TrackedQueue::new(&mut sq);
         assert_eq!(tq.peek(), Some(4));
         tq.pop();
         tq.requeue_victim(9);
         assert_eq!(tq.peek(), Some(9));
         assert_eq!(tq.admitted, vec![4]);
-        assert_eq!(*tq.queue, VecDeque::from([9, 7]));
+        assert_eq!(sq.deque(), Some(&VecDeque::from([9, 7])));
     }
 
     #[test]

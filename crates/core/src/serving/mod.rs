@@ -62,9 +62,10 @@
 //! prefill→decode loop ([`BladeRole`]-typed blades streaming finished
 //! prefills over the system fabric). The [`SimObserver`] seam exposes
 //! per-iteration events (admission, eviction, chunk dispatch, handoff,
-//! completion) without reaching into engine internals. The PR 3
-//! constructors ([`ServingSimulator::new`], [`ClusterSimulator::new`])
-//! remain as deprecated shims that funnel into the same validated core.
+//! completion) without reaching into engine internals. It is the only
+//! way to build and run a replay: the PR 3 constructors
+//! (`ServingSimulator::new`, `ClusterSimulator::new`) and the
+//! simulators' own replay methods are gone.
 //!
 //! Replay is exactly reproducible: [`CompiledScenario::run`] builds its
 //! iteration-cost table on rayon workers while

@@ -59,6 +59,13 @@ pub enum OrderingContract {
 ///   their relative (arrival) order behind the arrived ones. In
 ///   particular, a queue holding only not-yet-arrived requests must come
 ///   back unchanged.
+/// * The order `order_queue` gives the arrived requests never depends on
+///   the not-yet-arrived members of the queue. The event-driven core
+///   relies on this to hand the sort only the requests that arrived by
+///   the latest clock it has seen, keeping the rest in an arrival-ordered
+///   tail, so a round costs the waiting backlog rather than the
+///   unserved trace. Every in-tree policy keys on the request itself
+///   (and the clock), so it holds for all of them.
 /// * [`evict_victim`](Self::evict_victim) returns a valid index into
 ///   `running` (the engine calls it only when `running.len() > 1`).
 /// * [`ordering`](Self::ordering) must describe `order_queue` truthfully

@@ -13,11 +13,14 @@ use llm_workload::Parallelism;
 use optimus::serving::{
     AdmissionControl, AutoscaleConfig, ClusterReport, ControlPlane, CountingObserver,
     DecodePricing, DispatchMode, EventHeap, HandoffLink, MaxWaitGuardPolicy, RequestSpec,
-    RoutingPolicy, Scenario, SharedPrefixTraceConfig, SimCore, SimObserver, SjfPolicy, SloClass,
-    StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
+    RoutingPolicy, Scenario, SchedulerPolicy, SharedPrefixTraceConfig, SimCore, SimObserver,
+    SjfPolicy, SloClass, StrictPriorityPolicy, Topology, TraceConfig, WeightedFairPolicy,
 };
 use optimus::MultiBladeSystem;
 use proptest::prelude::*;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// KV bytes for one token of `model` at the system's serving precision.
 fn per_token_bytes(system: &MultiBladeSystem, model: &TransformerConfig) -> f64 {
@@ -736,6 +739,78 @@ fn full_batches_never_skip_a_reordering_partition() {
     });
 }
 
+/// [`MaxWaitGuardPolicy`] behind a wrapper that records the longest
+/// queue its `order_queue` is handed (shared by every clone the
+/// scenario makes).
+#[derive(Debug, Clone)]
+struct LongestSort {
+    guard: MaxWaitGuardPolicy,
+    longest: Arc<AtomicUsize>,
+}
+
+impl SchedulerPolicy for LongestSort {
+    fn name(&self) -> &'static str {
+        "longest-sort"
+    }
+
+    fn order_queue(&self, clock: f64, trace: &[RequestSpec], queue: &mut VecDeque<usize>) {
+        self.longest.fetch_max(queue.len(), Ordering::Relaxed);
+        self.guard.order_queue(clock, trace, queue);
+    }
+}
+
+#[test]
+fn clock_ordered_event_replays_sort_only_arrived_requests() {
+    // At low load only a few requests wait at any instant, so the event
+    // core must hand a clock-ordered policy's sort a short queue on every
+    // topology, never the unserved remainder of the trace.
+    let system = MultiBladeSystem::new(4).unwrap();
+    let model = ModelZoo::llama2_7b();
+    let par = Parallelism::new(1, 1, 1).unwrap();
+    let trace = TraceConfig {
+        seed: 41,
+        requests: 2000,
+        arrival_rate_per_s: 20.0,
+        prompt_tokens: (32, 256),
+        output_tokens: (8, 64),
+    };
+    let topologies = [
+        ("single blade", Topology::mixed(1), DispatchMode::PerBlade),
+        ("central", Topology::mixed(4), DispatchMode::Central),
+        (
+            "disaggregated",
+            Topology::disaggregated(2, 2),
+            DispatchMode::Central,
+        ),
+    ];
+    for (label, topology, dispatch) in topologies {
+        let longest = Arc::new(AtomicUsize::new(0));
+        let report = Scenario::new(&system)
+            .model(&model)
+            .parallelism(&par)
+            .max_batch(8)
+            .unconstrained_kv()
+            .poisson(trace)
+            .topology(topology)
+            .dispatch(dispatch)
+            .policy(LongestSort {
+                guard: MaxWaitGuardPolicy::new(0.25),
+                longest: Arc::clone(&longest),
+            })
+            .core(SimCore::EventDriven)
+            .compile()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(report.report.completed, 2000, "{label}");
+        let longest = longest.load(Ordering::Relaxed);
+        assert!(
+            (1..=50).contains(&longest),
+            "{label}: order_queue was handed {longest} requests"
+        );
+    }
+}
+
 /// Replays `build()` on `core` with a [`RecordingObserver`] attached.
 fn recorded<'a>(build: &dyn Fn() -> Scenario<'a>, core: SimCore) -> (ClusterReport, Vec<Call>) {
     let compiled = build().core(core).compile().unwrap();
@@ -806,18 +881,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random central-dispatch scenarios — 1–8 mixed blades, max batch
-    /// 1–6, unconstrained or evicting KV, FCFS or a clock-ordered policy,
-    /// the shedding gate on or off — replayed with a recording observer:
-    /// the event core's leapfrog, with its in-place rounds, retiring
-    /// members, victim exits and idle-blade pickups, reproduces the
-    /// per-step core's callback log call by call.
+    /// 1–6, unconstrained or evicting KV, FCFS, a clock-ordered policy or
+    /// a static-key one (SJF, strict priority), the shedding gate on or
+    /// off — replayed with a recording observer: the event core's
+    /// leapfrog, with its in-place rounds, retiring members, victim exits
+    /// and idle-blade pickups, reproduces the per-step core's callback
+    /// log call by call under every ordering contract.
     #[test]
     fn central_observer_logs_agree_on_random_scenarios(
         trace in arb_central_trace(),
         blades in 1u32..9,
         max_batch in 1u32..7,
         kv in 0usize..3,
-        guard in any::<bool>(),
+        policy in 0usize..4,
         shed in any::<bool>(),
     ) {
         let system = MultiBladeSystem::new(4).unwrap();
@@ -839,9 +915,12 @@ proptest! {
                 1 => s.kv_capacity_bytes(per_token * 384.0 * 1.7),
                 _ => s.kv_capacity_bytes(per_token * 384.0 * 1.2),
             };
-            if guard {
-                s = s.policy(MaxWaitGuardPolicy::new(0.25));
-            }
+            s = match policy {
+                0 => s,
+                1 => s.policy(MaxWaitGuardPolicy::new(0.25)),
+                2 => s.policy(SjfPolicy),
+                _ => s.policy(StrictPriorityPolicy::new()),
+            };
             if shed {
                 s = s
                     .slo_classes(vec![
